@@ -51,6 +51,11 @@ def load_matrix(path) -> np.ndarray:
             if data.size != n * n:
                 raise ValueError(f"{path}: truncated binary matrix")
             return data.reshape(n, n).copy()
+    return _load_csv(path)
+
+
+def _load_csv(path) -> np.ndarray:
+    """Dense CSV grid, one row per line; a binary grid fails to parse."""
     rows = []
     with open(path, newline="") as fh:
         for rec in csv.reader(fh):
@@ -79,21 +84,7 @@ def save_vectors_csv(path, vectors) -> None:
 
 def load_vectors_csv(path) -> np.ndarray:
     """Read one vector per column; a single column yields shape (N, 1)."""
-    return np.atleast_2d(load_matrix_any_shape(path))
-
-
-def load_matrix_any_shape(path) -> np.ndarray:
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
-            if rec:
-                rows.append([float(x) for x in rec])
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged rows")
-    return np.array(rows)
+    return np.atleast_2d(_load_csv(path))
 
 
 def save_modes_json(path, modes: ModeSet, labels=None) -> None:

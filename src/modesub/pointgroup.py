@@ -11,7 +11,7 @@ the characters at construction time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -124,6 +124,25 @@ def _axis_kind(op: SymmetryOperation) -> str:
     return "other"
 
 
+def _element_key(matrix) -> tuple | None:
+    """Hash key of a 3x3 matrix whose entries are integers within MATCH_TOL.
+
+    Every built-in operation is a signed permutation, so two matrices match
+    within MATCH_TOL exactly when their keys (the rounded entries) are
+    equal.  Anything else, including a non-finite entry, has no key (None).
+    """
+    m = np.asarray(matrix, dtype=float)
+    if m.shape != (3, 3):
+        return None
+    flat = m.ravel().tolist()
+    if not all(map(math.isfinite, flat)):
+        return None
+    key = tuple(map(round, flat))
+    if max(abs(x - k) for x, k in zip(flat, key)) > MATCH_TOL:
+        return None
+    return key
+
+
 @dataclass(frozen=True)
 class ConjugacyClass:
     label: str
@@ -152,6 +171,16 @@ class PointGroup:
     classes: tuple             # ConjugacyClass, in encoded table order
     irreps: tuple              # Irrep, in encoded table order
     class_of_element: tuple    # element index -> class index
+    _index: dict = field(init=False, repr=False)   # element key -> index
+
+    def __post_init__(self):
+        index = {}
+        for i, op in enumerate(self.elements):
+            key = _element_key(op.matrix)
+            if key is None:
+                raise ValueError(f"{self.name}: element {i} is not an integer matrix")
+            index.setdefault(key, i)
+        object.__setattr__(self, "_index", index)
 
     def character(self, irrep: Irrep, element_index: int) -> int:
         return irrep.characters[self.class_of_element[element_index]]
@@ -163,12 +192,8 @@ class PointGroup:
         raise KeyError(f"{self.name} has no irrep named {name!r}")
 
     def find_element(self, matrix) -> int | None:
-        """Index of the element equal to `matrix` within tolerance, else None."""
-        m = np.asarray(matrix, dtype=float)
-        for i, op in enumerate(self.elements):
-            if np.abs(op.matrix - m).max() <= MATCH_TOL:
-                return i
-        return None
+        """Index of the element equal to `matrix` within MATCH_TOL, else None."""
+        return self._index.get(_element_key(matrix))
 
     def contains_group(self, other: "PointGroup") -> bool:
         return all(self.find_element(op.matrix) is not None for op in other.elements)
@@ -292,22 +317,15 @@ _GROUPS = {
     },
 }
 
-_ALIASES = {
-    "OH": "O_h", "O_H": "O_h", "O_h": "O_h",
-    "O": "O",
-    "D4H": "D_4h", "D_4H": "D_4h", "D_4h": "D_4h",
-    "C4V": "C_4v", "C_4V": "C_4v", "C_4v": "C_4v",
-    "C2V": "C_2v", "C_2V": "C_2v", "C_2v": "C_2v",
-}
+_ALIASES = {n.replace("_", "").upper(): n for n in _GROUPS}
 
 
 def normalize_group_name(name: str) -> str:
-    key = name.strip().replace("_", "").upper()
-    for alias, canonical in _ALIASES.items():
-        if alias.replace("_", "").upper() == key:
-            return canonical
-    raise ValueError(f"unknown point group {name!r}; "
-                     f"built-ins are {', '.join(sorted(_GROUPS))}")
+    canonical = _ALIASES.get(name.strip().replace("_", "").upper())
+    if canonical is None:
+        raise ValueError(f"unknown point group {name!r}; "
+                         f"built-ins are {', '.join(sorted(_GROUPS))}")
+    return canonical
 
 
 # ---------------------------------------------------------------------------
@@ -411,28 +429,28 @@ _MATRIX_RULES = {
 # construction
 # ---------------------------------------------------------------------------
 
-def _close_under_product(generators, tol=MATCH_TOL):
-    elems = [np.eye(3)]
+def _close_under_product(generators):
+    elems = []
+    seen = set()
 
-    def find(m):
-        for i, e in enumerate(elems):
-            if np.abs(e - m).max() <= tol:
-                return i
-        return None
+    def add(m):
+        key = _element_key(m)
+        if key is None:
+            raise ValueError("generators must be integer matrices")
+        if key in seen:
+            return False
+        seen.add(key)
+        elems.append(m)
+        return True
 
-    frontier = [np.asarray(g, dtype=float) for g in generators]
-    for g in frontier:
-        if find(g) is None:
-            elems.append(g)
+    for g in [np.eye(3)] + [np.asarray(g, dtype=float) for g in generators]:
+        add(g)
     changed = True
     while changed:
         changed = False
         for a in list(elems):
             for b in list(elems):
-                p = a @ b
-                if find(p) is None:
-                    elems.append(p)
-                    changed = True
+                changed = add(a @ b) or changed
         if len(elems) > 256:
             raise RuntimeError("generator closure did not terminate")
     return elems
@@ -441,12 +459,7 @@ def _close_under_product(generators, tol=MATCH_TOL):
 def _conjugacy_classes(elems):
     n = len(elems)
     assigned = [None] * n
-
-    def find(m):
-        for i, e in enumerate(elems):
-            if np.abs(e - m).max() <= MATCH_TOL:
-                return i
-        raise ValueError("conjugate fell outside the element set")
+    index = {_element_key(e): i for i, e in enumerate(elems)}
 
     classes = []
     for i in range(n):
@@ -454,7 +467,7 @@ def _conjugacy_classes(elems):
             continue
         members = set()
         for h in elems:
-            members.add(find(h @ elems[i] @ h.T))
+            members.add(index[_element_key(h @ elems[i] @ h.T)])
         for j in members:
             assigned[j] = len(classes)
         classes.append(tuple(sorted(members)))
@@ -473,13 +486,7 @@ def builtin_group(name: str) -> PointGroup:
     canonical = normalize_group_name(name)
     data = _GROUPS[canonical]
     matrices = _close_under_product(data["generators"])
-    ops = [operation_from_matrix(m) for m in matrices]
-
-    # identity first for readability of exports
-    ident = next(i for i, op in enumerate(ops)
-                 if np.abs(op.matrix - np.eye(3)).max() <= MATCH_TOL)
-    ops[0], ops[ident] = ops[ident], ops[0]
-
+    ops = [operation_from_matrix(m) for m in matrices]   # identity first
     raw_classes = _conjugacy_classes([op.matrix for op in ops])
 
     class_objs = [None] * len(data["classes"])

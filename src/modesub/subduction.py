@@ -8,12 +8,12 @@ construction rather than by rounding error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .pointgroup import (O3IrrepId, PLANE_Z, PointGroup, builtin_group,
+from .pointgroup import (Irrep, O3IrrepId, PLANE_Z, PointGroup, builtin_group,
                          o3_character)
 
 #: tolerance for classifying an irrep-matrix diagonal entry as +-1
@@ -41,7 +41,7 @@ class ParityFilter:
     """
 
     keep: str
-    plane: np.ndarray = PLANE_Z
+    plane: np.ndarray = field(default_factory=lambda: PLANE_Z)
 
     def __post_init__(self):
         if self.keep not in ("odd", "even"):
@@ -87,6 +87,35 @@ class SubductionResult:
         return " ".join(f"{n}:{m}" for n, m in self.entries)
 
 
+def _plane_slots(group: PointGroup, irrep: Irrep,
+                 parity: ParityFilter) -> list[int]:
+    """Basis slots of `irrep` whose diagonal entry at the filter plane
+    operation matches the filter sign.
+
+    Raises MissingIrrepMatrixError when the plane is not an element of
+    `group`, when the irrep has no matrices, or when a diagonal entry is not
+    +-1 (the slot filter is then undefined in this basis).
+    """
+    plane_idx = group.find_element(parity.plane)
+    if plane_idx is None:
+        raise MissingIrrepMatrixError(
+            f"the filter plane operation is not an element of {group.name}")
+    if irrep.matrices is None:
+        raise MissingIrrepMatrixError(
+            f"{group.name}/{irrep.name} has no irrep matrices; "
+            "cannot apply a parity filter")
+    slots = []
+    for mu, d in enumerate(np.diagonal(irrep.matrices[plane_idx])):
+        if abs(d - parity.sign) <= SLOT_SIGN_TOL:
+            slots.append(mu)
+        elif not abs(d + parity.sign) <= SLOT_SIGN_TOL:
+            raise MissingIrrepMatrixError(
+                f"{group.name}/{irrep.name}: diagonal of the plane-operation "
+                f"matrix is not +-1 (slot {mu} = {d:.3g}); the slot filter "
+                "is undefined in this basis")
+    return slots
+
+
 def _character_on_elements(parent, parent_group, child: PointGroup,
                            parity: ParityFilter | None):
     """Parent character evaluated at every child element, filter applied.
@@ -117,39 +146,22 @@ def _character_on_elements(parent, parent_group, child: PointGroup,
                        dtype=float)
         return chi, Fraction(irrep.dimension)
 
-    if irrep.matrices is None:
-        raise MissingIrrepMatrixError(
-            f"{parent_group.name}/{irrep.name} has no irrep matrices; "
-            "cannot apply a parity filter")
-    plane_idx = parent_group.find_element(parity.plane)
-    if plane_idx is None:
-        raise MissingIrrepMatrixError(
-            f"the filter plane operation is not an element of {parent_group.name}")
-    gamma_plane = irrep.matrices[plane_idx]
-    slots = []
-    for mu in range(irrep.dimension):
-        d = float(gamma_plane[mu, mu])
-        if abs(d - 1.0) <= SLOT_SIGN_TOL:
-            if parity.sign == 1:
-                slots.append(mu)
-        elif abs(d + 1.0) <= SLOT_SIGN_TOL:
-            if parity.sign == -1:
-                slots.append(mu)
-        else:
-            raise MissingIrrepMatrixError(
-                f"{parent_group.name}/{irrep.name}: diagonal of the plane-operation "
-                f"matrix is not +-1 (slot {mu} = {d:.3g}); the slot filter is "
-                "undefined in this basis")
+    slots = _plane_slots(parent_group, irrep, parity)
     chi = np.array([sum(float(irrep.matrices[i][mu, mu]) for mu in slots)
                     for i in child_in_parent])
     return chi, Fraction(len(slots))
 
 
 def _decompose(chi: np.ndarray, child: PointGroup):
-    """Eq.-of-orthogonality multiplicities of `chi` over the child irreps."""
+    """Eq.-of-orthogonality multiplicities of `chi` over the child irreps.
+
+    `chi` is summed element by element, not by class: a filtered character
+    need not be a class function.
+    """
+    table = np.array([p.characters for p in child.irreps],
+                     dtype=float)[:, list(child.class_of_element)]
     entries = []
-    for p in child.irreps:
-        total = sum(chi[i] * child.character(p, i) for i in range(child.order))
+    for p, total in zip(child.irreps, table @ chi):
         nearest = round(total)
         if abs(total - nearest) > 1e-6:
             raise ValueError(
@@ -238,43 +250,20 @@ def chain_subduce(parent, path, parity: ParityFilter | None = None,
     # subduce into, so it reduces to dropping wrong-parity irreps in place)
     if parity is not None and groups[-1].name == parity_stage:
         terminal = groups[-1]
-        plane_idx = terminal.find_element(parity.plane)
-        if plane_idx is None:
-            raise MissingIrrepMatrixError(
-                f"the filter plane operation is not an element of {terminal.name}")
-        kept = []
-        total = Fraction(0)
-        for name, mult in current:
-            p = terminal.irrep(name)
-            if p.matrices is None:
-                raise MissingIrrepMatrixError(
-                    f"{terminal.name}/{name} has no irrep matrices")
-            diag = np.diagonal(p.matrices[plane_idx])
-            n_match = int(np.sum(np.abs(diag - parity.sign) <= SLOT_SIGN_TOL))
-            if n_match:
-                frac = Fraction(n_match, p.dimension)
-                kept.append((name, mult * frac))
-                total += mult * n_match
+        kept = filtered_stage_content(terminal, current, parity)
+        total = sum((m * terminal.irrep(n).dimension for n, m in kept), Fraction(0))
         results.append(SubductionResult(
-            f"{terminal.name} ({parity.keep} at plane)", terminal.name,
-            tuple(kept), total))
+            f"{terminal.name} ({parity.keep} at plane)", terminal.name, kept, total))
     return results
 
 
 def filtered_stage_content(group: PointGroup, entries,
                            parity: ParityFilter) -> tuple:
     """Per-irrep surviving slot fractions of a stage content under a filter."""
-    plane_idx = group.find_element(parity.plane)
-    if plane_idx is None:
-        raise MissingIrrepMatrixError(
-            f"the filter plane operation is not an element of {group.name}")
     out = []
     for name, mult in entries:
         p = group.irrep(name)
-        if p.matrices is None:
-            raise MissingIrrepMatrixError(f"{group.name}/{name} has no matrices")
-        diag = np.diagonal(p.matrices[plane_idx])
-        n_match = int(np.sum(np.abs(diag - parity.sign) <= SLOT_SIGN_TOL))
+        n_match = len(_plane_slots(group, p, parity))
         if n_match:
             out.append((name, mult * Fraction(n_match, p.dimension)))
     return tuple(out)
@@ -318,7 +307,7 @@ def octahedral_chain_table() -> list:
         for child_name, mult in step.entries:
             child = d4h.irrep(child_name)
             gamma = np.asarray(child.matrices[plane_idx])
-            odd = bool(np.all(np.abs(np.diagonal(gamma) + 1.0) <= SLOT_SIGN_TOL))
+            odd = len(_plane_slots(d4h, child, ParityFilter("odd"))) == child.dimension
             branch = {
                 "d4h": child_name,
                 "multiplicity": mult,

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import modesub
 from modesub import fileio
 from modesub.cli import main
 from modesub.pointgroup import builtin_group
@@ -237,7 +238,9 @@ def test_thread_env_defaulting():
         "print('RESULT', code, os.environ['OMP_NUM_THREADS'],\n"
         "      os.environ['OPENBLAS_NUM_THREADS'])\n"
     )
-    env = dict(os.environ, MODESUB_THREADS="3")
+    # the child imports the same package as this process, installed or not
+    pkg_root = os.path.dirname(os.path.dirname(modesub.__file__))
+    env = dict(os.environ, MODESUB_THREADS="3", PYTHONPATH=pkg_root)
     env.pop("OMP_NUM_THREADS", None)
     env.pop("OPENBLAS_NUM_THREADS", None)
     res = subprocess.run([sys.executable, "-c", script], env=env,

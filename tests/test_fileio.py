@@ -71,6 +71,10 @@ def test_vectors_csv_shapes(tmp_path):
     got = fileio.load_vectors_csv(single)
     assert got.shape == (6, 1)
     assert np.array_equal(got[:, 0], v[:, 0])
+    binary = tmp_path / "v.cmx"
+    fileio.save_matrix_binary(binary, np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        fileio.load_vectors_csv(binary)
 
 
 def test_modes_json_round_trip(tmp_path):

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modesub.pointgroup import (
     MATCH_TOL,
@@ -171,7 +175,9 @@ def test_name_normalization():
     assert normalize_group_name("D4h") == "D_4h"
     assert normalize_group_name("c4v") == "C_4v"
     assert normalize_group_name("C_2v") == "C_2v"
-    with pytest.raises(ValueError):
+    for name in ("OH", "O_H", "O", " d_4H ", "C4V", "c_2_v"):
+        assert normalize_group_name(name) in GROUP_ORDERS
+    with pytest.raises(ValueError, match="built-ins are C_2v, C_4v, D_4h, O, O_h"):
         normalize_group_name("D_6h")
 
 
@@ -185,3 +191,53 @@ def test_json_export_and_table_format():
     lines = text.splitlines()
     assert lines[0].startswith("C_2v")
     assert any(line.split()[0] == "B_2" for line in lines[1:])
+
+
+def _linear_find(group, matrix):
+    """Linear tolerance scan over the elements: the oracle for find_element."""
+    m = np.asarray(matrix, dtype=float)
+    for i, op in enumerate(group.elements):
+        if np.abs(op.matrix - m).max() <= MATCH_TOL:
+            return i
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(GROUP_ORDERS)), data=st.data())
+def test_find_element_matches_linear_scan(name, data):
+    g = builtin_group(name)
+    i = data.draw(st.integers(0, g.order - 1))
+    kind = data.draw(st.sampled_from(["near", "off", "nan", "inf", "scaled"]))
+    m = g.elements[i].matrix.copy()
+    noise = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=9,
+                                        max_size=9))).reshape(3, 3)
+    entry = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    sign = data.draw(st.sampled_from([-1.0, 1.0]))
+    if kind == "near":
+        m += 1e-10 * noise
+    elif kind == "off":
+        m[entry] += sign * 1e-6
+    elif kind == "nan":
+        m[entry] = np.nan
+    elif kind == "inf":
+        m[entry] = sign * np.inf
+    else:
+        m *= 255.0
+    want = i if kind == "near" else None
+    assert _linear_find(g, m) == want
+    assert g.find_element(m) == want
+
+
+def test_find_element_rejects_other_shapes():
+    g = builtin_group("C_2v")
+    assert g.find_element(np.eye(3)) == 0
+    assert g.find_element(np.eye(2)) is None
+    assert g.find_element(np.ones(9)) is None
+
+
+def test_point_group_needs_integer_elements():
+    g = builtin_group("C_2v")
+    c, s = np.cos(0.3), np.sin(0.3)
+    tilted = operation_from_matrix([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="not an integer matrix"):
+        replace(g, elements=g.elements[:-1] + (tilted,))

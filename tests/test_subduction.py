@@ -3,8 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from modesub.pointgroup import TE, TM, O3IrrepId, builtin_group
+from modesub.pointgroup import (
+    MATCH_TOL,
+    TE,
+    TM,
+    O3IrrepId,
+    builtin_group,
+    builtin_group_names,
+)
 from modesub.subduction import (
+    SLOT_SIGN_TOL,
     STANDARD_CHAIN,
     MissingIrrepMatrixError,
     NotASubgroupError,
@@ -214,3 +222,69 @@ def test_filter_complement():
     assert f.complement().sign == 1
     with pytest.raises(ValueError):
         ParityFilter("sideways")
+
+
+def _linear_find(group, matrix):
+    for i, op in enumerate(group.elements):
+        if np.abs(op.matrix - matrix).max() <= MATCH_TOL:
+            return i
+    return None
+
+
+def _reference_subduce(name, parent, child, parity):
+    """Named-irrep subduction written as explicit per-element loops.
+
+    Returns (entries, parent dimension), or None when the filter plane is
+    not an element of the parent group.
+    """
+    irrep = parent.irrep(name)
+    idx = [_linear_find(parent, op.matrix) for op in child.elements]
+    if parity is None:
+        chi = [parent.character(irrep, i) for i in idx]
+        dim = irrep.dimension
+    else:
+        plane = _linear_find(parent, parity.plane)
+        if plane is None:
+            return None
+        gamma = irrep.matrices[plane]
+        slots = [mu for mu in range(irrep.dimension)
+                 if abs(gamma[mu, mu] - parity.sign) <= SLOT_SIGN_TOL]
+        chi = [sum(float(irrep.matrices[i][mu, mu]) for mu in slots) for i in idx]
+        dim = len(slots)
+    entries = []
+    for p in child.irreps:
+        total = sum(chi[k] * child.character(p, k) for k in range(child.order))
+        mult = Fraction(round(total), child.order)
+        if mult:
+            entries.append((p.name, mult))
+    return tuple(entries), Fraction(dim)
+
+
+def test_named_subduction_matches_per_element_reference():
+    groups = [builtin_group(n) for n in builtin_group_names()]
+    pairs = [(a, b) for a in groups for b in groups
+             if all(_linear_find(a, op.matrix) is not None for op in b.elements)]
+    assert len(pairs) == 12
+    for parent, child in pairs:
+        for p in parent.irreps:
+            for parity in (None, ParityFilter("odd"), ParityFilter("even")):
+                want = _reference_subduce(p.name, parent, child, parity)
+                if want is None:
+                    with pytest.raises(MissingIrrepMatrixError):
+                        subduce(p.name, child, parent_group=parent, parity=parity)
+                    continue
+                res = subduce(p.name, child, parent_group=parent, parity=parity)
+                assert (res.entries, res.parent_dimension) == want
+
+
+def test_filter_rejects_a_plane_mixing_basis_slots():
+    # the x<->y mirror maps T_1u's x and y slots into each other, so its
+    # diagonal there is (0, 0, 1) and no slot filter exists in this basis
+    oh = builtin_group("O_h")
+    swap_xy = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal(np.diagonal(oh.irrep("T_1u").matrices[
+        oh.find_element(swap_xy)]), [0.0, 0.0, 1.0])
+    for keep in ("odd", "even"):
+        with pytest.raises(MissingIrrepMatrixError, match="not \\+-1"):
+            filtered_stage_content(oh, (("T_1u", Fraction(1)),),
+                                   ParityFilter(keep, plane=swap_xy))
