@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on usage errors, 2 on data or validation
-errors.  All numeric output is deterministic for fixed inputs and flags;
-kR/pi is the abscissa everywhere.
+errors (``error: ...``) and on internal errors (``internal error: ...`` plus
+the traceback).  All numeric output is deterministic for fixed inputs and
+flags; kR/pi is the abscissa everywhere.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -243,15 +245,13 @@ def cmd_solve(args) -> int:
 
 def cmd_classify(args) -> int:
     from .fileio import load_action_json, load_matrix, load_vectors_csv
-    from .symaction import parity_check, project
+    from .symaction import parity_check, project_columns, projectors
 
     action = load_action_json(args.action)
     vectors = load_vectors_csv(args.vectors)
     weight = load_matrix(args.weight) if args.weight else None
     reports = []
-    for k in range(vectors.shape[1]):
-        v = vectors[:, k]
-        rep = project(v, action)
+    for k, rep in enumerate(project_columns(vectors, projectors(action))):
         entry = {
             "vector": k,
             "dominant": rep.dominant,
@@ -259,7 +259,8 @@ def cmd_classify(args) -> int:
             "weights": {n: rep.weights[n] for n in sorted(rep.weights)},
         }
         if args.parity:
-            entry["parity"] = parity_check(v, action, weight=weight)
+            entry["parity"] = parity_check(vectors[:, k], action,
+                                           weight=weight)
         reports.append(entry)
     if args.json:
         print(json.dumps(reports, indent=1))
@@ -416,8 +417,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except Exception as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # anything else is a bug in modesub, not a problem with the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 2
 
 

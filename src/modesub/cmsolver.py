@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symaction import GroupAction, project, projector
+from .symaction import GroupAction, project_columns, projectors
 
 #: relative spectrum cutoff below which R directions are truncated
 DEFAULT_RANK_TOLERANCE = 1e-12
@@ -154,34 +154,29 @@ def classify_modes(modes: ModeSet, action: GroupAction,
     """
     if action.dimension != modes.eigencurrents.shape[0]:
         raise ValueError("action dimension does not match the eigencurrents")
-    group = action.group
-    projs = {p.name: projector(action, p.name) for p in group.irreps}
-    labels = [None] * modes.count
-    weights = [None] * modes.count
+    currents = modes.eigencurrents
+    projs = projectors(action)
+    reports = project_columns(currents, projs)
     clusters = _cluster_slices(modes.eigenvalues, cluster_tolerance)
-    for start, stop in clusters:
-        block = modes.eigencurrents[:, start:stop]
-        q, _ = np.linalg.qr(block)
-        counts = {}
-        for name, p in projs.items():
-            tr = float(np.trace(q.T @ p @ q))
-            n = int(round(tr))
-            if n > 0:
-                counts[name] = n
-        per_mode = []
-        for k in range(start, stop):
-            rep = project(modes.eigencurrents[:, k], action)
-            weights[k] = rep.weights
-            per_mode.append(rep.dominant)
-        expanded = []
-        for p in group.irreps:
-            expanded.extend([p.name] * counts.get(p.name, 0))
+    # one orthonormal basis per cluster, side by side, so a single product
+    # per irrep gives every cluster's projected trace
+    q = np.zeros_like(currents)
+    for a, b in clusters:
+        q[:, a:b] = np.linalg.qr(currents[:, a:b])[0]
+    starts = np.array([a for a, _ in clusters], dtype=int)
+    traces = {name: np.add.reduceat(np.sum(q * (p @ q), axis=0), starts)
+              for name, p in projs.items()}
+    labels = []
+    for c, (start, stop) in enumerate(clusters):
+        expanded = [name for name, tr in traces.items()
+                    for _ in range(int(round(float(tr[c]))))]
+        per_mode = [rep.dominant for rep in reports[start:stop]]
         if len(expanded) != stop - start:
             # weight did not split integrally across the cluster; fall back to
             # per-mode dominant labels
             expanded = per_mode
         elif sorted(per_mode) == sorted(expanded):
             expanded = per_mode
-        for k, name in zip(range(start, stop), expanded):
-            labels[k] = name
-    return ModeClassification(tuple(labels), tuple(weights), tuple(clusters))
+        labels.extend(expanded)
+    return ModeClassification(tuple(labels), tuple(rep.weights for rep in reports),
+                              tuple(clusters))

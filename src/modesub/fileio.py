@@ -17,7 +17,7 @@ import numpy as np
 
 from .cmsolver import ModeSet
 from .pointgroup import builtin_group
-from .symaction import GroupAction, action_from_points
+from .symaction import GroupAction, action_from_operators, action_from_points
 from .tracker import Snapshot, TracePoint, TrackedTrace
 
 MATRIX_MAGIC = b"CMX1"
@@ -167,13 +167,16 @@ def save_traces_json(path, traces, avoidances=()) -> None:
 def load_traces_json(path):
     with open(path) as fh:
         doc = json.load(fh)
-    traces = []
-    for rec in doc["traces"]:
-        points = [TracePoint(p["frequency"], p["lambda"], p["mode_index"])
-                  for p in rec["points"]]
-        traces.append(TrackedTrace(rec["id"], rec["irrep"], points,
-                                   list(rec.get("events", []))))
-    return traces, doc.get("avoidances", [])
+    try:
+        traces = []
+        for rec in doc["traces"]:
+            points = [TracePoint(p["frequency"], p["lambda"], p["mode_index"])
+                      for p in rec["points"]]
+            traces.append(TrackedTrace(rec["id"], rec["irrep"], points,
+                                       list(rec.get("events", []))))
+        return traces, doc.get("avoidances", [])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a traces file ({exc!r})") from None
 
 
 def traces_to_csv(traces, fh) -> None:
@@ -207,28 +210,27 @@ def save_action_json(path, action: GroupAction) -> None:
 
 def load_action_json(path) -> GroupAction:
     """Action files name a group plus either per-element operator matrices
-    (element order) or a symmetric point set with a per-point dof count."""
+    (element order, each a signed block permutation) or a symmetric point set
+    with a per-point dof count."""
     with open(path) as fh:
         doc = json.load(fh)
-    if "group" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("group"), str):
         raise ValueError(f"{path}: action file lacks a group name")
     group = builtin_group(doc["group"])
-    if "operators" in doc:
-        ops = [np.array(m, dtype=float) for m in doc["operators"]]
-        if len(ops) != group.order:
-            raise ValueError(
-                f"{path}: {len(ops)} operators for a group of order "
-                f"{group.order}")
-        dim = ops[0].shape
-        if any(m.shape != dim for m in ops) or dim[0] != dim[1]:
-            raise ValueError(f"{path}: operators must be square, equal size")
+    try:
         points = doc.get("points")
         if points is not None:
             points = np.array(points, dtype=float)
-        return GroupAction(group, dict(enumerate(ops)), points=points,
-                           dof=int(doc.get("dof", 3)))
-    if "points" in doc:
-        points = np.array(doc["points"], dtype=float)
-        dof = int(doc.get("dof", 3))
-        return action_from_points(group, points, dof=dof)
+        if "operators" in doc:
+            # without points the finest blocks decode every signed permutation
+            dof = int(doc.get("dof", 3 if points is not None else 1))
+            try:
+                return action_from_operators(group, doc["operators"], dof,
+                                             points)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        if points is not None:
+            return action_from_points(group, points, dof=int(doc.get("dof", 3)))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed action file ({exc!r})") from None
     raise ValueError(f"{path}: action file needs operators or points")

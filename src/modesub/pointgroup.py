@@ -143,6 +143,11 @@ def _element_key(matrix) -> tuple | None:
     return key
 
 
+class UnknownIrrepError(KeyError, ValueError):
+    """A lookup of an irrep name the group does not have; a ValueError too,
+    because the name usually comes from user input."""
+
+
 @dataclass(frozen=True)
 class ConjugacyClass:
     label: str
@@ -189,7 +194,7 @@ class PointGroup:
         for p in self.irreps:
             if p.name == name:
                 return p
-        raise KeyError(f"{self.name} has no irrep named {name!r}")
+        raise UnknownIrrepError(f"{self.name} has no irrep named {name!r}")
 
     def find_element(self, matrix) -> int | None:
         """Index of the element equal to `matrix` within MATCH_TOL, else None."""

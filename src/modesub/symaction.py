@@ -1,21 +1,29 @@
 """Group actions on point-sampled fields and character projection.
 
 A field sampled on a symmetric point set transforms by permuting the points
-and rotating the per-point vectors; the resulting operators are explicit
-orthogonal matrices.  Character projectors split any coefficient vector into
-its irrep components, which is what mode classification runs on.
+and rotating the per-point vectors, so every group element acts as a signed
+block permutation: one point permutation plus one dof x dof block per point.
+The action stores only those, O(g N dof) numbers; dense operators and the
+character projectors are scattered from them on demand.  The projectors split
+any coefficient vector into its irrep components, which is what mode
+classification runs on.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .pointgroup import PLANE_Z, PointGroup, operation_from_matrix
 
 #: weight above which a vector counts as a pure irrep basis function
 CLASSIFY_THRESHOLD = 1.0 - 1e-6
+
+#: largest entry a dense operator may hold outside its block pattern
+OPERATOR_DECODE_TOL = 1e-12
 
 
 class PointSetNotSymmetricError(ValueError):
@@ -35,47 +43,101 @@ class BasisNotIsotypicError(ValueError):
 class GroupAction:
     """Orthogonal action of a point group on stacked field samples.
 
-    `operators` maps element index -> N x N matrix; N = dof * len(points).
-    Coefficient vectors stack the per-point samples point-major.
+    Element T is a signed block permutation: ``perms[T, i] = j`` means D(T)
+    maps the block of point j into the block of point i, rotated by
+    ``blocks[T, i]``, so (D(T) v)[i] = blocks[T, i] @ v[j].  Coefficient
+    vectors stack the per-point samples point-major; N = dof * n.
     """
 
     group: PointGroup
-    operators: dict
+    perms: np.ndarray            # (g, n) point permutations, element order
+    blocks: np.ndarray           # (g, n, dof, dof) per-point blocks
     points: np.ndarray | None = None
-    dof: int = 3
+
+    def __post_init__(self):
+        perms = _frozen(self.perms, np.intp)
+        blocks = _frozen(self.blocks, float)
+        if (perms.ndim != 2 or perms.shape[0] != self.group.order
+                or blocks.ndim != 4 or blocks.shape[:2] != perms.shape
+                or blocks.shape[2] != blocks.shape[3]):
+            raise ValueError("an action needs one point permutation and one "
+                             "block per point for every group element")
+        object.__setattr__(self, "perms", perms)
+        object.__setattr__(self, "blocks", blocks)
+        if self.points is not None:
+            points = _frozen(self.points, float)
+            if points.shape != (perms.shape[1], 3):
+                raise ValueError(f"{perms.shape[1]} blocks per element need "
+                                 f"as many (x, y, z) points")
+            object.__setattr__(self, "points", points)
+
+    @property
+    def dof(self) -> int:
+        return self.blocks.shape[-1]
 
     @property
     def dimension(self) -> int:
-        return self.operators[0].shape[0]
+        return self.perms.shape[1] * self.dof
+
+    def apply(self, element_index: int, v) -> np.ndarray:
+        """D(T) v without forming D(T); v is (N,) or (N, m)."""
+        if element_index not in range(self.group.order):
+            raise IndexError(f"no element {element_index} in {self.group.name}")
+        return _apply(self.perms[element_index], self.blocks[element_index], v)
+
+    @property
+    def operators(self) -> Mapping:
+        """Element index -> dense N x N matrix, materialised on each access."""
+        return _DenseOperators(self)
+
+
+class _DenseOperators(Mapping):
+    def __init__(self, action: GroupAction):
+        self._action = action
+
+    def __getitem__(self, index):
+        if index not in range(len(self)):
+            raise KeyError(index)
+        return _dense(self._action.perms[index], self._action.blocks[index])
+
+    def __iter__(self):
+        return iter(range(len(self)))
+
+    def __len__(self):
+        return self._action.group.order
+
+
+def _frozen(a, dtype):
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
+def _apply(perm, blocks, v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    gathered = v.reshape(len(perm), blocks.shape[-1], -1)[perm]
+    return (blocks @ gathered).reshape(v.shape)
+
+
+def _dense(perm, blocks) -> np.ndarray:
+    n, dof = len(perm), blocks.shape[-1]
+    out = np.zeros((n, n, dof, dof))
+    out[np.arange(n), perm] = blocks
+    return out.transpose(0, 2, 1, 3).reshape(n * dof, n * dof)
 
 
 def _permutation(points: np.ndarray, matrix: np.ndarray, tol: float):
-    """perm[i] = j such that matrix @ points[j] == points[i], or None."""
-    target = points @ matrix.T          # row i = matrix applied to points[i]
-    perm = []
-    for i in range(len(points)):
-        hit = None
-        for j in range(len(points)):
-            if np.abs(target[j] - points[i]).max() <= tol:
-                hit = j
-                break
-        perm.append(hit)
-    return perm
+    """perm[i] = the lowest j with |matrix @ points[j] - points[i]|_max <= tol,
+    or -1 where there is none."""
+    hits = cKDTree(points @ matrix.T).query_ball_point(points, r=tol, p=np.inf)
+    return np.array([min(h) if h else -1 for h in hits], dtype=np.intp)
 
 
-def _operator_for(points: np.ndarray, matrix: np.ndarray, dof: int, tol: float):
-    perm = _permutation(points, matrix, tol)
-    misses = [i for i, j in enumerate(perm) if j is None]
-    if misses:
-        return None, misses
-    n = len(points)
-    op = np.zeros((dof * n, dof * n))
-    for i, j in enumerate(perm):
-        if dof == 1:
-            op[i, j] = 1.0
-        else:
-            op[dof * i:dof * i + dof, dof * j:dof * j + dof] = matrix
-    return op, []
+def _induced(points: np.ndarray, matrix: np.ndarray, dof: int, tol: float):
+    """Permutation and blocks of one operation on fields sampled at points."""
+    block = matrix if dof == 3 else np.ones((1, 1))
+    return (_permutation(points, matrix, tol),
+            np.broadcast_to(block, (len(points), dof, dof)))
 
 
 def action_from_points(group: PointGroup, points, dof: int = 3,
@@ -86,7 +148,8 @@ def action_from_points(group: PointGroup, points, dof: int = 3,
     ----------
     group : PointGroup
     points : (N, 3) array-like
-        Must map onto itself under every group operation (within `tol`).
+        Must map onto itself under every group operation (within `tol`),
+        with no two points within `tol` of each other.
     dof : int
         1 for scalar samples (pure permutation action), 3 for vector samples
         (signed 3x3-block permutation).
@@ -96,19 +159,54 @@ def action_from_points(group: PointGroup, points, dof: int = 3,
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must be an (N, 3) array")
-    operators = {}
-    misses = []
-    for idx, op in enumerate(group.elements):
-        mat, bad = _operator_for(pts, op.matrix, dof, tol)
-        if bad:
-            misses.extend((idx, p) for p in bad)
-        else:
-            operators[idx] = mat
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    pairs = cKDTree(pts).query_pairs(tol, p=np.inf)
+    if pairs:
+        i, j = min(pairs)
+        raise ValueError(f"points {i} and {j} coincide within {tol}")
+    induced = [_induced(pts, op.matrix, dof, tol) for op in group.elements]
+    misses = [(t, int(i)) for t, (perm, _) in enumerate(induced)
+              for i in np.flatnonzero(perm < 0)]
     if misses:
         raise PointSetNotSymmetricError(group.name, misses)
-    pts = pts.copy()
-    pts.setflags(write=False)
-    return GroupAction(group, operators, pts, dof)
+    return GroupAction(group, np.stack([p for p, _ in induced]),
+                       np.stack([b for _, b in induced]), pts)
+
+
+def action_from_operators(group: PointGroup, operators, dof: int = 1,
+                          points=None) -> GroupAction:
+    """Decode dense per-element matrices (element order) into an action.
+
+    Each matrix must be a signed block permutation with dof x dof blocks:
+    exactly one nonzero block in every block row and block column, and
+    nothing above OPERATOR_DECODE_TOL outside it.
+    """
+    ops = np.asarray(operators, dtype=float)
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        raise ValueError("operators must be square, equal size")
+    if len(ops) != group.order:
+        raise ValueError(f"{len(ops)} operators for a group of order "
+                         f"{group.order}")
+    if dof < 1 or ops.shape[1] % dof:
+        raise ValueError(f"operator size {ops.shape[1]} is not a multiple of "
+                         f"dof {dof}")
+    g, n = len(ops), ops.shape[1] // dof
+    tiles = ops.reshape(g, n, dof, n, dof).transpose(0, 1, 3, 2, 4)
+    size = np.abs(tiles).max(axis=(3, 4))                    # (g, n, n)
+    perms = size.argmax(axis=2)
+    picked = (np.arange(g)[:, None], np.arange(n), perms)
+    kept = size[picked]
+    size[picked] = 0.0
+    ok = (np.isfinite(ops).all(axis=(1, 2))
+          & (size.max(axis=(1, 2), initial=0.0) <= OPERATOR_DECODE_TOL)
+          & (kept > 0).all(axis=1)
+          & (np.sort(perms, axis=1) == np.arange(n)).all(axis=1))
+    if not ok.all():
+        t = int(np.flatnonzero(~ok)[0])
+        raise ValueError(f"operator {t} is not a signed block permutation "
+                         f"with {dof}x{dof} blocks")
+    return GroupAction(group, perms, tiles[picked], points)
 
 
 def orbit_points(group: PointGroup, seed, tol: float = 1e-8) -> np.ndarray:
@@ -123,15 +221,31 @@ def orbit_points(group: PointGroup, seed, tol: float = 1e-8) -> np.ndarray:
     return np.array(pts)
 
 
+def _projectors(action: GroupAction, irreps) -> dict:
+    """Character projectors (d_p/g) sum_T chi_p(T)* D(T) for `irreps`,
+    scattered block by block in one pass over the elements."""
+    group = action.group
+    n, dof = action.perms.shape[1], action.dof
+    chars = np.array([[group.character(p, t) for t in range(group.order)]
+                      for p in irreps], dtype=float)
+    acc = np.zeros((len(irreps), n, n, dof, dof))
+    rows = np.arange(n)
+    for t in range(group.order):
+        acc[:, rows, action.perms[t]] += chars[:, t, None, None, None] * action.blocks[t]
+    return {p.name: (p.dimension / group.order)
+            * a.transpose(0, 2, 1, 3).reshape(n * dof, n * dof)
+            for p, a in zip(irreps, acc)}
+
+
 def projector(action: GroupAction, irrep_name: str) -> np.ndarray:
     """Character projector (d_p/g) sum_T chi_p(T)* D(T)."""
-    group = action.group
-    p = group.irrep(irrep_name)
-    n = action.dimension
-    out = np.zeros((n, n))
-    for i in range(group.order):
-        out += group.character(p, i) * action.operators[i]
-    return (p.dimension / group.order) * out
+    p = action.group.irrep(irrep_name)
+    return _projectors(action, [p])[p.name]
+
+
+def projectors(action: GroupAction) -> dict:
+    """Every irrep's projector, irrep name -> N x N matrix in table order."""
+    return _projectors(action, action.group.irreps)
 
 
 @dataclass(frozen=True)
@@ -150,20 +264,32 @@ class ProjectionReport:
         return None
 
 
+def project_columns(vectors, projs: dict) -> list:
+    """Split every column of `vectors` into irrep components and weigh them.
+
+    `projs` is `projectors(action)`, built once for all columns; a tie in
+    weight goes to the irrep that comes first in it.
+    """
+    v = np.asarray(vectors, dtype=float)
+    norms = np.linalg.norm(v, axis=0)
+    if not norms.all():
+        raise ValueError("cannot project a zero vector")
+    comps = {name: p @ v for name, p in projs.items()}
+    weights = {name: np.linalg.norm(c, axis=0) / norms
+               for name, c in comps.items()}
+    reports = []
+    for k in range(v.shape[1]):
+        w = {name: float(col[k]) for name, col in weights.items()}
+        reports.append(ProjectionReport(
+            w, {name: c[:, k] for name, c in comps.items()},
+            max(w, key=w.__getitem__)))
+    return reports
+
+
 def project(v, action: GroupAction) -> ProjectionReport:
     """Split a coefficient vector into irrep components and weigh them."""
-    v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("cannot project a zero vector")
-    weights = {}
-    components = {}
-    for p in action.group.irreps:
-        comp = projector(action, p.name) @ v
-        components[p.name] = comp
-        weights[p.name] = float(np.linalg.norm(comp) / norm)
-    dominant = max(weights, key=lambda k: (weights[k], -action.group.irrep(k).index))
-    return ProjectionReport(weights, components, dominant)
+    v = np.asarray(v, dtype=float).reshape(-1, 1)
+    return project_columns(v, projectors(action))[0]
 
 
 def irrep_matrix_entries(basis, action: GroupAction, element_index: int,
@@ -181,8 +307,7 @@ def irrep_matrix_entries(basis, action: GroupAction, element_index: int,
     if np.abs(gram - np.eye(basis.shape[1])).max() > 1e-8:
         raise BasisNotIsotypicError("basis columns are not orthonormal")
     names = set()
-    for k in range(basis.shape[1]):
-        rep = project(basis[:, k], action)
+    for k, rep in enumerate(project_columns(basis, projectors(action))):
         if rep.classified is None:
             raise BasisNotIsotypicError(
                 f"basis column {k} is not a pure irrep function "
@@ -195,8 +320,7 @@ def irrep_matrix_entries(basis, action: GroupAction, element_index: int,
     if basis.shape[1] != p.dimension:
         raise BasisNotIsotypicError(
             f"basis for {name} must have {p.dimension} columns")
-    d = action.operators[element_index]
-    target = d @ basis
+    target = action.apply(element_index, basis)
     if weight is not None:
         target = weight @ target
     gamma = basis.T @ target
@@ -208,26 +332,33 @@ def irrep_matrix_entries(basis, action: GroupAction, element_index: int,
     return gamma
 
 
-def plane_operator(action: GroupAction, plane=None) -> np.ndarray:
-    """Operator for a mirror operation, whether or not it is in the group.
+def _plane_element(action: GroupAction, plane):
+    """Permutation and blocks of a mirror operation on the action's fields.
 
-    Group members use their stored operator; anything else is induced from
+    Group members use their stored element; anything else is induced from
     the point set (which must be closed under it).
     """
     plane_matrix = PLANE_Z if plane is None else np.asarray(plane, dtype=float)
     idx = action.group.find_element(plane_matrix)
     if idx is not None:
-        return action.operators[idx]
+        return action.perms[idx], action.blocks[idx]
     if action.points is None:
         raise ValueError(
             "plane operation is outside the group and the action has no point "
             "set to induce it from")
     operation_from_matrix(plane_matrix)   # validates orthogonality
-    op, misses = _operator_for(action.points, plane_matrix, action.dof, 1e-8)
-    if misses:
+    perm, blocks = _induced(action.points, plane_matrix, action.dof, 1e-8)
+    misses = np.flatnonzero(perm < 0)
+    if misses.size:
         raise PointSetNotSymmetricError("the plane operation",
-                                        [("plane", p) for p in misses])
-    return op
+                                        [("plane", int(p)) for p in misses])
+    return perm, blocks
+
+
+def plane_operator(action: GroupAction, plane=None) -> np.ndarray:
+    """Dense operator for a mirror operation, whether or not it is in the
+    group."""
+    return _dense(*_plane_element(action, plane))
 
 
 def parity_check(v, action: GroupAction, plane=None,
@@ -239,13 +370,13 @@ def parity_check(v, action: GroupAction, plane=None,
     +1 its even counterpart.
     """
     v = np.asarray(v, dtype=float)
-    d = plane_operator(action, plane)
+    dv = _apply(*_plane_element(action, plane), v)
     if weight is None:
         denom = float(v @ v)
-        num = float(v @ (d @ v))
+        num = float(v @ dv)
     else:
         denom = float(v @ (weight @ v))
-        num = float(v @ (weight @ (d @ v)))
+        num = float(v @ (weight @ dv))
     if denom == 0:
         raise ValueError("cannot evaluate parity of a zero vector")
     return num / denom

@@ -261,3 +261,47 @@ def test_console_script_installed():
                          capture_output=True, text=True)
     assert res.returncode == 0
     assert res.stdout == SPHERE_EXAMPLE
+
+
+def test_internal_errors_are_not_data_errors(capsys, monkeypatch):
+    import modesub.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_tables", broken)
+    code, out, err = run(capsys, "tables", "--group", "O_h")
+    assert code == 2 and out == ""
+    assert err.startswith("internal error: RuntimeError: boom\n")
+    assert "Traceback (most recent call last)" in err
+    # an irrep name from the command line is still a data error
+    code, _, err = run(capsys, "subduce", "--from", "Oh:X_9", "--to", "C4v")
+    assert code == 2
+    assert err == "error: \"O_h has no irrep named 'X_9'\"\n"
+
+
+def test_malformed_action_file_is_a_data_error(capsys, tmp_path):
+    symmetric_problem(tmp_path)
+    fileio.save_vectors_csv(tmp_path / "v.csv", np.ones(24))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"group": "C_4v", "operators": {"a": 1}}))
+    code, _, err = run(capsys, "classify", "--vectors", str(tmp_path / "v.csv"),
+                       "--action", str(bad))
+    assert code == 2
+    assert err.startswith(f"error: {bad}: malformed action file")
+
+
+def test_classify_many_vectors(capsys, tmp_path):
+    act, _ = symmetric_problem(tmp_path)
+    rng = np.random.default_rng(8)
+    names = ["A_1", "B_2", "E", "A_2"]
+    vecs = np.stack([projector(act, n) @ rng.normal(size=act.dimension)
+                     for n in names], axis=1)
+    vecs[:, 3] += 0.5 * vecs[:, 0]                 # mixed: no pure irrep
+    fileio.save_vectors_csv(tmp_path / "v.csv", vecs)
+    code, out, _ = run(capsys, "classify", "--vectors", str(tmp_path / "v.csv"),
+                       "--action", str(tmp_path / "action.json"), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert [e["dominant"] for e in doc] == names[:3] + ["A_2"]
+    assert [e["classified"] for e in doc] == names[:3] + [None]

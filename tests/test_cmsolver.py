@@ -6,6 +6,7 @@ from modesub.cmsolver import (
     ImpedancePair,
     ModeSet,
     RIndefiniteError,
+    _cluster_slices,
     classify_modes,
     solve_cm,
 )
@@ -174,3 +175,101 @@ def test_labels_survive_in_modeset():
     with pytest.raises(ValueError):
         ModeSet(modes.eigenvalues, modes.eigencurrents, modes.rank,
                 modes.frequency, labels=("A",))
+
+
+# The seed's classify_modes, which re-projects each mode through projectors
+# rebuilt from the dense operators (a dict, element index -> N x N); kept as
+# the oracle for the batched version.
+
+def seed_projector(group, operators, irrep_name):
+    p = group.irrep(irrep_name)
+    n = operators[0].shape[0]
+    out = np.zeros((n, n))
+    for i in range(group.order):
+        out += group.character(p, i) * operators[i]
+    return (p.dimension / group.order) * out
+
+
+def seed_project(v, group, operators):
+    norm = np.linalg.norm(v)
+    weights = {}
+    for p in group.irreps:
+        comp = seed_projector(group, operators, p.name) @ v
+        weights[p.name] = float(np.linalg.norm(comp) / norm)
+    dominant = max(weights, key=lambda k: (weights[k], -group.irrep(k).index))
+    return weights, dominant
+
+
+def seed_classify_modes(modes, group, operators, cluster_tolerance=1e-6):
+    projs = {p.name: seed_projector(group, operators, p.name)
+             for p in group.irreps}
+    labels = [None] * modes.count
+    weights = [None] * modes.count
+    clusters = _cluster_slices(modes.eigenvalues, cluster_tolerance)
+    for start, stop in clusters:
+        block = modes.eigencurrents[:, start:stop]
+        q, _ = np.linalg.qr(block)
+        counts = {}
+        for name, p in projs.items():
+            n = int(round(float(np.trace(q.T @ p @ q))))
+            if n > 0:
+                counts[name] = n
+        per_mode = []
+        for k in range(start, stop):
+            weights[k], dominant = seed_project(modes.eigencurrents[:, k],
+                                                group, operators)
+            per_mode.append(dominant)
+        expanded = []
+        for p in group.irreps:
+            expanded.extend([p.name] * counts.get(p.name, 0))
+        if len(expanded) != stop - start:
+            expanded = per_mode
+        elif sorted(per_mode) == sorted(expanded):
+            expanded = per_mode
+        for k, name in zip(range(start, stop), expanded):
+            labels[k] = name
+    return tuple(labels), tuple(weights)
+
+
+@pytest.mark.parametrize("name, dof, kind", [
+    ("O_h", 3, "random"), ("O_h", 3, "forced"), ("O_h", 3, "forced, R = I"),
+    ("C_4v", 1, "random"), ("C_4v", 1, "forced"), ("C_4v", 1, "forced, R = I"),
+])
+def test_classification_matches_seed_oracle(name, dof, kind):
+    g = builtin_group(name)
+    rng = np.random.default_rng(len(kind) + dof)
+    # O_h: one 24-point orbit in a mirror plane (N = 72); C_4v: two generic
+    # 8-point orbits (N = 16)
+    seeds = [(1.0, 0.5, 0.0)] if name == "O_h" else [(1.0, 0.4, 0.3),
+                                                     (0.7, 0.2, 0.5)]
+    pts = np.vstack([orbit_points(g, np.array(s)) for s in seeds])
+    act = action_from_points(g, pts, dof=dof)
+    n = act.dimension
+    ops = dict(act.operators)
+
+    def invariant(m):
+        avg = sum(d @ m @ d.T for d in ops.values()) / len(ops)
+        return (avg + avg.T) / 2.0
+
+    a = rng.normal(size=(n, n))
+    b = rng.normal(size=(n, n))
+    x = invariant(a + a.T)
+    r = invariant(b @ b.T / n) + np.eye(n)
+    if kind != "random":
+        # force degenerate clusters that mix irreps: the first two irreps
+        # share eigenvalue 0, the rest take levels 0, 1 or 2
+        levels = rng.integers(0, 3, size=len(g.irreps)).astype(float)
+        levels[:2] = 0.0
+        x = sum(lv * projector(act, p.name) for lv, p in zip(levels, g.irreps))
+    if kind == "forced, R = I":
+        r = np.eye(n)
+    modes = solve_cm(ImpedancePair(x, r))
+    cls = classify_modes(modes, act)
+    labels, weights = seed_classify_modes(modes, g, ops)
+    assert cls.labels == labels
+    if kind != "random":
+        assert any(len({labels[k] for k in range(a, b)}) > 1
+                   for a, b in cls.clusters)
+    for got, ref in zip(cls.weights, weights):
+        assert list(got) == list(ref)
+        assert max(abs(got[k] - ref[k]) for k in ref) < 1e-12

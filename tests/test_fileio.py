@@ -140,16 +140,23 @@ def test_traces_csv_layout():
 def test_action_json_operator_form(tmp_path):
     g = builtin_group("C_4v")
     pts = orbit_points(g, np.array([1.0, 0.3, 0.2]))
-    act = action_from_points(g, pts)
-    p = tmp_path / "action.json"
-    fileio.save_action_json(p, act)
-    back = fileio.load_action_json(p)
-    assert back.group.name == "C_4v"
-    for i in range(g.order):
-        assert np.allclose(back.operators[i], act.operators[i])
-    # points survive so mirror operators outside the group stay constructible
-    assert back.points is not None
-    assert np.allclose(back.points, act.points)
+    for dof in (3, 1):
+        act = action_from_points(g, pts, dof=dof)
+        p = tmp_path / f"action{dof}.json"
+        fileio.save_action_json(p, act)
+        back = fileio.load_action_json(p)
+        assert back.group.name == "C_4v"
+        assert back.dof == dof
+        for i in range(g.order):
+            assert np.allclose(back.operators[i], act.operators[i])
+        # points survive so mirror operators outside the group stay
+        # constructible
+        assert back.points is not None
+        assert np.allclose(back.points, act.points)
+        # the decoded action writes the same bytes again
+        again = tmp_path / "again.json"
+        fileio.save_action_json(again, back)
+        assert again.read_bytes() == p.read_bytes()
 
 
 def test_action_json_points_form(tmp_path):
@@ -189,3 +196,48 @@ def test_solve_save_track_pipeline(tmp_path):
     for tr in traces:
         assert len(tr.points) == 3
         assert np.allclose(np.diff(tr.lambdas), 0.5)
+
+
+def test_action_json_legacy_sign_flipped_operators(tmp_path):
+    # an RWG-style file: scalar unknowns, some with flipped sign, no dof key
+    g = builtin_group("C_2v")
+    act = action_from_points(g, orbit_points(g, np.array([0.7, 0.2, 0.4])),
+                             dof=1)
+    flip = np.array([1.0, -1.0, 1.0, -1.0])
+    ops = [flip[:, None] * act.operators[t] * flip[None, :]
+           for t in range(g.order)]
+    p = tmp_path / "rwg.json"
+    p.write_text(json.dumps({"group": "C_2v",
+                             "operators": [m.tolist() for m in ops]}))
+    back = fileio.load_action_json(p)
+    assert back.dof == 1 and back.points is None
+    for t in range(g.order):
+        assert np.array_equal(back.operators[t], ops[t])
+
+
+def test_action_json_malformed_names_the_file(tmp_path):
+    p = tmp_path / "odd.json"
+    bad_docs = [
+        {"group": "C_2v", "operators": 5},
+        {"group": "C_2v", "operators": {"a": 1}},
+        {"group": "C_2v", "points": [[1.0, 0.0, 0.0]], "dof": None},
+        ["C_2v"],
+        {"group": 7, "points": []},
+    ]
+    for doc in bad_docs:
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="odd.json"):
+            fileio.load_action_json(p)
+    ops = np.eye(4)[None].repeat(4, axis=0)
+    ops[2, 0, 1] = 0.5
+    p.write_text(json.dumps({"group": "C_2v", "operators": ops.tolist()}))
+    with pytest.raises(ValueError, match="odd.json: operator 2 is not"):
+        fileio.load_action_json(p)
+
+
+def test_traces_json_malformed_names_the_file(tmp_path):
+    p = tmp_path / "t.json"
+    for doc in ({"traces": [{"id": 0}]}, {"traces": 3}, [1, 2]):
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="t.json: not a traces file"):
+            fileio.load_traces_json(p)

@@ -1,10 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modesub.pointgroup import builtin_group
 from modesub.symaction import (
     BasisNotIsotypicError,
     PointSetNotSymmetricError,
+    _permutation,
+    action_from_operators,
     action_from_points,
     irrep_matrix_entries,
     orbit_points,
@@ -12,6 +18,7 @@ from modesub.symaction import (
     plane_operator,
     project,
     projector,
+    projectors,
 )
 
 GROUPS = ("O_h", "O", "D_4h", "C_4v", "C_2v")
@@ -125,7 +132,7 @@ def test_plane_operator_induced_when_outside_group():
     n = act.dimension
     assert np.abs(S @ S - np.eye(n)).max() < 1e-10
     # without points there is nothing to induce from
-    bare = type(act)(g, act.operators)
+    bare = dataclasses.replace(act, points=None)
     with pytest.raises(ValueError):
         plane_operator(bare)
 
@@ -173,3 +180,134 @@ def test_project_rejects_zero_vector():
     _, act = make_action("C_2v")
     with pytest.raises(ValueError):
         project(np.zeros(act.dimension), act)
+
+
+# The seed's dense construction: an O(n^2) loop search and one N x N matrix
+# per element.  Kept as the oracle for the signed block permutation form.
+
+def seed_permutation(points, matrix, tol):
+    target = points @ matrix.T
+    perm = []
+    for i in range(len(points)):
+        hit = None
+        for j in range(len(points)):
+            if np.abs(target[j] - points[i]).max() <= tol:
+                hit = j
+                break
+        perm.append(hit)
+    return perm
+
+
+def seed_operator_for(points, matrix, dof, tol):
+    perm = seed_permutation(points, matrix, tol)
+    misses = [i for i, j in enumerate(perm) if j is None]
+    if misses:
+        return None, misses
+    n = len(points)
+    op = np.zeros((dof * n, dof * n))
+    for i, j in enumerate(perm):
+        if dof == 1:
+            op[i, j] = 1.0
+        else:
+            op[dof * i:dof * i + dof, dof * j:dof * j + dof] = matrix
+    return op, []
+
+
+coordinate = st.floats(0.05, 1.5, allow_nan=False)
+
+
+def draw_points(data, g):
+    seeds = data.draw(st.lists(st.tuples(coordinate, coordinate, coordinate),
+                               min_size=1, max_size=2))
+    pts = np.vstack([orbit_points(g, np.array(s)) for s in seeds])
+    gaps = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
+    assume(gaps[np.triu_indices(len(pts), 1)].min(initial=1.0) > 1e-3)
+    return pts
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=st.sampled_from(GROUPS), dof=st.sampled_from([1, 3]),
+       data=st.data())
+def test_block_action_matches_dense_oracle(name, dof, data):
+    g = builtin_group(name)
+    pts = draw_points(data, g)
+    act = action_from_points(g, pts, dof=dof)
+    v = np.random.default_rng(0).normal(size=(act.dimension, 2))
+    for t, op in enumerate(g.elements):
+        dense, misses = seed_operator_for(pts, op.matrix, dof, 1e-8)
+        assert misses == []
+        assert np.array_equal(act.operators[t], dense)
+        assert np.allclose(act.apply(t, v), dense @ v, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(GROUPS), data=st.data())
+def test_permutation_search_matches_loop(name, data):
+    g = builtin_group(name)
+    pts = draw_points(data, g)
+    tol = 1e-8
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pts = pts + rng.uniform(-0.3 * tol, 0.3 * tol, size=pts.shape)
+    moved = data.draw(st.lists(st.integers(0, len(pts) - 1), max_size=3))
+    pts[moved] += 5 * tol                 # these lose their partners
+    matrix = g.elements[data.draw(st.integers(0, g.order - 1))].matrix
+    expected = [-1 if j is None else j
+                for j in seed_permutation(pts, matrix, tol)]
+    assert _permutation(pts, matrix, tol).tolist() == expected
+
+
+def test_coincident_points_rejected():
+    g = builtin_group("C_2v")
+    pts = orbit_points(g, np.array(SEEDS["C_2v"]))
+    with pytest.raises(ValueError, match="points 1 and 4 coincide"):
+        action_from_points(g, np.vstack([pts, pts[1]]))
+
+
+def test_action_stores_no_dense_matrix():
+    g = builtin_group("O_h")
+    seeds = [(0.9, 0.5, 0.2), (0.7, 0.4, 0.15), (1.1, 0.3, 0.25),
+             (0.6, 0.45, 0.35)]
+    pts = np.vstack([orbit_points(g, np.array(s)) for s in seeds])
+    act = action_from_points(g, pts, dof=3)
+    assert act.dimension == 576
+    stored = [a for a in vars(act).values() if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in stored) < 1 << 20
+
+
+def test_operators_decode_signed_block_permutations():
+    g, act = make_action("C_4v", dof=1)
+    # an RWG-style basis flips the sign of some unknowns
+    flip = np.where(np.arange(act.dimension) % 3 == 0, -1.0, 1.0)
+    ops = [flip[:, None] * act.operators[t] * flip[None, :]
+           for t in range(g.order)]
+    back = action_from_operators(g, ops)
+    for t in range(g.order):
+        assert np.array_equal(back.operators[t], ops[t])
+    projs = projectors(back)
+    assert np.abs(sum(projs.values()) - np.eye(act.dimension)).max() < 1e-12
+    # a dof = 3 action decodes at either block size
+    _, act3 = make_action("C_4v")
+    ops3 = [act3.operators[t] for t in range(g.order)]
+    for dof in (1, 3):
+        back = action_from_operators(g, ops3, dof)
+        assert all(np.array_equal(back.operators[t], ops3[t])
+                   for t in range(g.order))
+
+
+def test_operators_that_are_not_block_monomial_rejected():
+    g, act = make_action("C_4v", dof=1)
+    ops = [act.operators[t] for t in range(g.order)]
+    mixed = [m.copy() for m in ops]
+    mixed[3][0, :] = mixed[3][0, :] + mixed[3][1, :]    # two nonzeros in a row
+    with pytest.raises(ValueError, match="operator 3 is not"):
+        action_from_operators(g, mixed)
+    merged = [m.copy() for m in ops]
+    merged[5][1] = merged[5][0]                         # a column used twice
+    with pytest.raises(ValueError, match="operator 5 is not"):
+        action_from_operators(g, merged)
+    noisy = [m.copy() for m in ops]
+    noisy[2][0, 1] += 1e-9
+    with pytest.raises(ValueError, match="operator 2 is not"):
+        action_from_operators(g, noisy)
+    with pytest.raises(ValueError, match="not a multiple of dof 3"):
+        action_from_operators(g, [m[:7, :7] for m in ops], 3)
