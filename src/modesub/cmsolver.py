@@ -41,6 +41,9 @@ class ImpedancePair:
         if x.shape != r.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
             raise ValueError("X and R must be square matrices of equal size")
         for name, m in (("X", x), ("R", r)):
+            if not np.isfinite(m).all():
+                # NaN would slip through the symmetry test below
+                raise ValueError(f"{name} has nonfinite entries")
             scale = max(np.abs(m).max(), 1.0)
             if np.abs(m - m.T).max() > SYMMETRY_TOLERANCE * scale:
                 raise ValueError(f"{name} is not symmetric within tolerance")
@@ -147,10 +150,13 @@ def classify_modes(modes: ModeSet, action: GroupAction,
     """Attach irrep labels to a ModeSet using a group action.
 
     Degenerate modes are classified jointly: their span is projected per
-    irrep, the multiplicity of each irrep inside the cluster is read off the
-    projected trace, and (for mixed clusters) the projector is
-    re-diagonalized inside the cluster so the label multiset is exact even
-    though individual degenerate vectors are an arbitrary mix.
+    irrep and the multiplicity of each irrep inside the cluster is read off
+    the projected trace.  When the per-mode dominant irreps form that
+    multiset, each mode keeps its dominant label.  Otherwise the cluster's
+    labels are the traced multiset in character-table order, assigned to its
+    modes by position, so the multiset is exact but a label need not match
+    its vector.  If the traces do not round to the cluster size, the
+    per-mode dominants are used.
     """
     if action.dimension != modes.eigencurrents.shape[0]:
         raise ValueError("action dimension does not match the eigencurrents")

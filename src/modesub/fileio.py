@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import struct
+import warnings
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +26,10 @@ MATRIX_MAGIC = b"CMX1"
 
 
 def save_matrix_csv(path, m) -> None:
-    m = np.asarray(m, dtype=float)
+    """One line per row, each entry as repr(float)."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        for row in m:
-            w.writerow([repr(float(x)) for x in row])
+        for row in np.asarray(m, dtype=float):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def save_matrix_binary(path, m) -> None:
@@ -55,18 +56,24 @@ def load_matrix(path) -> np.ndarray:
 
 
 def _load_csv(path) -> np.ndarray:
-    """Dense CSV grid, one row per line; a binary grid fails to parse."""
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
-            if rec:
-                rows.append([float(x) for x in rec])
-    if not rows:
+    """Dense CSV grid, one row per line; a binary grid fails to parse.
+
+    Fields are ASCII floats as float() reads them, without ``_`` separators,
+    optionally in double quotes; blank lines are skipped and nothing is a
+    comment.
+    """
+    try:
+        with warnings.catch_warnings():
+            # an empty file is reported below, by name
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            m = np.loadtxt(path, delimiter=",", ndmin=2, comments=None,
+                           quotechar='"')
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if m.size == 0:
         raise ValueError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged rows")
-    return np.array(rows)
+    return m
 
 
 def save_vectors_csv(path, vectors) -> None:
@@ -76,10 +83,7 @@ def save_vectors_csv(path, vectors) -> None:
         raise ValueError("vectors must form a 1-D or 2-D array")
     if v.shape[0] == 1 and np.asarray(vectors).ndim == 1:
         v = v.T
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        for row in v:
-            w.writerow([repr(float(x)) for x in row])
+    save_matrix_csv(path, v)
 
 
 def load_vectors_csv(path) -> np.ndarray:
@@ -92,15 +96,61 @@ def save_modes_json(path, modes: ModeSet, labels=None) -> None:
     row per mode."""
     doc = {
         "frequency": float(modes.frequency),
-        "lambdas": [float(x) for x in modes.eigenvalues],
-        "vectors": [[float(x) for x in col] for col in modes.eigencurrents.T],
+        "lambdas": np.asarray(modes.eigenvalues, dtype=float),
+        "vectors": np.asarray(modes.eigencurrents, dtype=float).T,
     }
     names = labels if labels is not None else modes.labels
     if names is not None:
         doc["labels"] = list(names)
+    _save_json(path, doc)
+
+
+def _save_json(path, doc: dict) -> None:
+    """Write doc as json.dump(doc, fh, indent=1) and a newline would.
+
+    Values that are float arrays (an ndarray, or an iterator of them) are
+    written one innermost row at a time, so the document is never held as
+    one string.
+    """
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write("{")
+        for k, (key, val) in enumerate(doc.items()):
+            fh.write(("," if k else "") + "\n " + json.dumps(key) + ": ")
+            if isinstance(val, (np.ndarray, Iterator)):
+                _write_floats(fh, val, 1)
+            else:
+                fh.write(json.dumps(val, indent=1).replace("\n", "\n "))
+        fh.write("\n}\n")
+
+
+def _write_floats(fh, a, depth: int) -> None:
+    """A float array, or an iterable of them, laid out as a JSON array at
+    nesting depth `depth` with indent 1."""
+    if isinstance(a, np.ndarray) and a.ndim == 1:
+        fh.write(_json_floats(a.tolist(), depth))
+        return
+    pad = "\n" + " " * (depth + 1)
+    fh.write("[")
+    empty = True
+    for sub in a:
+        fh.write(pad if empty else "," + pad)
+        _write_floats(fh, sub, depth + 1)
+        empty = False
+    fh.write("]" if empty else "\n" + " " * depth + "]")
+
+
+def _json_floats(vals: list, depth: int) -> str:
+    """json's indent-1 layout of a list of floats at nesting depth `depth`:
+    repr per entry, and NaN/Infinity/-Infinity for nonfinite ones."""
+    if not vals:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    body = repr(vals)[1:-1]
+    if "n" in body:
+        # float reprs spell only "nan" and "inf" with letters besides "e"
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+    return ("[" + pad + body.replace(", ", "," + pad) + "\n" + " " * depth
+            + "]")
 
 
 def load_modes_json(path) -> Snapshot:
@@ -194,18 +244,15 @@ def traces_to_csv(traces, fh) -> None:
 def save_action_json(path, action: GroupAction) -> None:
     doc = {
         "group": action.group.name,
-        "operators": [
-            [[float(x) for x in row] for row in action.operators[i]]
-            for i in range(action.group.order)
-        ],
+        # a generator, so only one dense matrix is held at a time
+        "operators": (np.asarray(action.operators[i], dtype=float)
+                      for i in range(action.group.order)),
     }
     if action.points is not None:
         # kept so loaders can induce mirror operators outside the group
-        doc["points"] = [[float(x) for x in p] for p in action.points]
+        doc["points"] = np.asarray(action.points, dtype=float)
         doc["dof"] = action.dof
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _save_json(path, doc)
 
 
 def load_action_json(path) -> GroupAction:

@@ -119,6 +119,18 @@ def test_data_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "unknown point group" in err
 
 
+def test_solve_rejects_nonfinite_matrix(capsys, tmp_path):
+    fileio.save_matrix_csv(tmp_path / "x.csv",
+                           [[1.0, float("nan")], [float("nan"), 1.0]])
+    fileio.save_matrix_csv(tmp_path / "r.csv", np.eye(2))
+    code, _, err = run(capsys, "solve", "--x", str(tmp_path / "x.csv"),
+                       "--r", str(tmp_path / "r.csv"),
+                       "--out", str(tmp_path / "m.json"))
+    assert code == 2
+    assert err == "error: X has nonfinite entries\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_solve_with_labels(capsys, tmp_path):
     act, shifts = symmetric_problem(tmp_path)
     out_path = tmp_path / "modes.json"

@@ -97,6 +97,17 @@ def test_asymmetric_inputs_rejected():
         ImpedancePair(np.eye(3), np.eye(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_inputs_rejected(bad):
+    # a symmetric NaN pair passes the symmetry test, so it needs its own check
+    m = np.eye(3)
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValueError, match="^X has nonfinite entries$"):
+        ImpedancePair(m, np.eye(3))
+    with pytest.raises(ValueError, match="^R has nonfinite entries$"):
+        ImpedancePair(np.eye(3), m)
+
+
 def test_tiny_asymmetry_is_symmetrized():
     x = np.array([[1.0, 2.0], [2.0 + 1e-12, 1.0]])
     pair = ImpedancePair(x, np.eye(2))

@@ -1,11 +1,15 @@
+import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modesub import fileio
-from modesub.cmsolver import ImpedancePair, solve_cm
+from modesub.cmsolver import ImpedancePair, ModeSet, solve_cm
 from modesub.pointgroup import builtin_group
 from modesub.symaction import GroupAction, action_from_points, orbit_points
 from modesub.tracker import Snapshot, TrackOptions, TrackedTrace, TracePoint, track
@@ -241,3 +245,214 @@ def test_traces_json_malformed_names_the_file(tmp_path):
         p.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="t.json: not a traces file"):
             fileio.load_traces_json(p)
+
+
+# Reference implementations the C-backed reader and the streaming writers
+# must reproduce bit for bit and byte for byte.
+
+def reference_load_csv(path):
+    """csv.reader plus float() per field, blank lines skipped."""
+    rows = []
+    with open(path, newline="") as fh:
+        for rec in csv.reader(fh):
+            if rec:
+                rows.append([float(x) for x in rec])
+    if not rows:
+        raise ValueError(f"{path}: empty matrix file")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError(f"{path}: ragged rows")
+    return np.array(rows)
+
+
+def reference_modes_json(modes, labels=None):
+    doc = {
+        "frequency": float(modes.frequency),
+        "lambdas": [float(x) for x in modes.eigenvalues],
+        "vectors": [[float(x) for x in col] for col in modes.eigencurrents.T],
+    }
+    names = labels if labels is not None else modes.labels
+    if names is not None:
+        doc["labels"] = list(names)
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def reference_csv(m):
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh, lineterminator="\n")
+    for row in m:
+        w.writerow([repr(float(x)) for x in row])
+    return fh.getvalue()
+
+
+def reference_action_json(action):
+    doc = {
+        "group": action.group.name,
+        "operators": [
+            [[float(x) for x in row] for row in action.operators[i]]
+            for i in range(action.group.order)
+        ],
+    }
+    if action.points is not None:
+        doc["points"] = [[float(x) for x in p] for p in action.points]
+        doc["dof"] = action.dof
+    return json.dumps(doc, indent=1) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+               float("nan"), float("inf"), float("-inf")]
+FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+
+
+@st.composite
+def mode_sets(draw):
+    """N >= count >= 0: zero modes, 1x1 and rank < N all occur."""
+    n = draw(st.integers(0, 4))
+    count = draw(st.integers(0, n))
+    lam = draw(st.lists(FLOATS, min_size=count, max_size=count))
+    vec = draw(st.lists(FLOATS, min_size=n * count, max_size=n * count))
+    names = draw(st.lists(st.text(max_size=4), min_size=count,
+                          max_size=count))
+    own = draw(st.booleans())
+    return ModeSet(np.array(lam, dtype=float),
+                   np.array(vec, dtype=float).reshape(n, count), count,
+                   frequency=draw(FLOATS),
+                   labels=tuple(names) if own else None), names
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mode_sets(), pass_labels=st.booleans())
+@example(case=(ModeSet(np.zeros(0), np.zeros((3, 0)), 0), []),
+         pass_labels=False)
+@example(case=(ModeSet(np.array([-0.0]), np.array([[5e-324]]), 1,
+                       labels=("A_1g",)), ["T_1u"]), pass_labels=False)
+@example(case=(ModeSet(np.array([1e308, float("nan")]),
+                       np.array([[-1e308, float("inf")],
+                                 [float("-inf"), -0.0],
+                                 [2.5e-310, 1.0]]), 2), ["E", "\"q\"\n"]),
+         pass_labels=True)
+def test_modes_json_bytes_match_json_dump(tmp_path_factory, case, pass_labels):
+    modes, names = case
+    labels = names if pass_labels else None
+    p = tmp_path_factory.mktemp("modes") / "modes.json"
+    fileio.save_modes_json(p, modes, labels=labels)
+    assert p.read_text() == reference_modes_json(modes, labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(0, 4), cols=st.integers(0, 4), data=st.data())
+def test_csv_writers_match_csv_writer(tmp_path_factory, rows, cols, data):
+    vals = data.draw(st.lists(FLOATS, min_size=rows * cols,
+                              max_size=rows * cols))
+    m = np.array(vals, dtype=float).reshape(rows, cols)
+    d = tmp_path_factory.mktemp("csv")
+    fileio.save_matrix_csv(d / "m.csv", m)
+    fileio.save_vectors_csv(d / "v.csv", m.ravel())
+    assert (d / "m.csv").read_text() == reference_csv(m)
+    assert (d / "v.csv").read_text() == reference_csv(m.reshape(-1, 1))
+
+
+@pytest.mark.parametrize("group", ["O_h", "D_4h", "C_2v"])
+@pytest.mark.parametrize("dof", [1, 3])
+def test_action_json_bytes_match_json_dump(tmp_path, group, dof):
+    g = builtin_group(group)
+    act = action_from_points(g, orbit_points(g, np.array([0.7, -0.2, 0.4])),
+                             dof=dof)
+    bare = type(act)(act.group, act.perms, act.blocks)
+    for a in (act, bare):
+        p = tmp_path / "action.json"
+        fileio.save_action_json(p, a)
+        assert p.read_text() == reference_action_json(a)
+
+
+NUMBER = st.one_of(
+    st.from_regex(r"[+-]?([0-9]{1,20}(\.[0-9]{0,20})?|\.[0-9]{1,20})"
+                  r"([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity",
+                     "-INFINITY", "4.9e-324", "2.5e-324", "1e-400",
+                     "1.7976931348623157e308", "1.8e308", "-0"]),
+    FLOATS.map(repr))
+
+
+@st.composite
+def csv_texts(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for _ in range(rows):
+        fields = []
+        for _ in range(cols):
+            field = draw(NUMBER)
+            # csv.reader opens a quote only at the very start of a field
+            if draw(st.booleans()):
+                field = '"' + field + '"'
+            else:
+                field = draw(st.sampled_from(["", " ", "\t"])) + field
+            fields.append(field + draw(st.sampled_from(["", " "])))
+        lines.append(",".join(fields))
+        lines.extend([""] * draw(st.integers(0, 1)))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts())
+def test_csv_reader_matches_float_parser(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("read") / "m.csv"
+    p.write_bytes(text.encode())
+    want = reference_load_csv(p)
+    got = fileio.load_matrix(p)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("1,2\n\n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    (" 1 ,\t2\n3 , 4", [[1.0, 2.0], [3.0, 4.0]]),
+    ('"1.5","-2e3"\n3,"4"\n', [[1.5, -2000.0], [3.0, 4.0]]),
+    ("7\n", [[7.0]]),
+    ("1\n2\n3\n", [[1.0], [2.0], [3.0]]),
+    ("1,2,3\n", [[1.0, 2.0, 3.0]]),
+])
+def test_csv_reader_accepts(tmp_path, text, expected):
+    p = tmp_path / "m.csv"
+    p.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fileio.load_matrix(p)
+    assert got.tolist() == expected
+    assert np.array_equal(got, reference_load_csv(p))
+
+
+@pytest.mark.parametrize("text", [
+    "1,2,\n3,4,\n",          # trailing comma
+    "1,2\n3\n",               # ragged rows
+    "1,2\n3,4\n# note\n",    # no comment syntax
+    "#1,2\n3,4\n",
+    "",                         # empty
+    "\n\n\r\n",                 # blank lines only
+    "  \n",                    # whitespace only
+    "1_000,2\n3,4\n",         # no digit separators
+    "\uff11,2\n",              # ASCII digits only
+])
+def test_csv_reader_rejects_naming_the_file(tmp_path, text):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="bad.csv: "):
+            fileio.load_matrix(p)
+        with pytest.raises(ValueError, match="bad.csv: "):
+            fileio.load_vectors_csv(p)
+
+
+def test_csv_reader_rejects_binary_grid_as_vectors(tmp_path):
+    p = tmp_path / "v.cmx"
+    fileio.save_matrix_binary(p, np.arange(9.0).reshape(3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="v.cmx: "):
+            fileio.load_vectors_csv(p)
+    p.write_bytes(b"\xff\xfe1,2\n")
+    with pytest.raises(ValueError, match="v.cmx: "):
+        fileio.load_matrix(p)
