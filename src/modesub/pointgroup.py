@@ -11,7 +11,7 @@ the characters at construction time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -650,22 +650,6 @@ def verify_group(group: PointGroup, check_matrices: bool = True) -> ValidationRe
                     break
 
     return ValidationReport(group.name, tuple(bad))
-
-
-def perturbed_character_table(group: PointGroup, irrep_name: str,
-                              class_index: int, delta: int) -> PointGroup:
-    """Copy of `group` with one character table entry shifted (for validation
-    tests); matrices of the touched irrep are dropped since they no longer
-    apply."""
-    irreps = []
-    for p in group.irreps:
-        if p.name == irrep_name:
-            chars = list(p.characters)
-            chars[class_index] += delta
-            irreps.append(replace(p, characters=tuple(chars), matrices=None))
-        else:
-            irreps.append(p)
-    return replace(group, irreps=tuple(irreps))
 
 
 def group_to_json(group: PointGroup) -> dict:

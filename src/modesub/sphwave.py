@@ -1,9 +1,8 @@
 """Analytical eigenvalue traces of vector spherical waves on a spherical shell.
 
-Spherical Bessel functions are evaluated by recurrence: downward (Miller's
-algorithm, normalized by j_0) for j_t when the order exceeds the argument,
-upward otherwise; y_t is always recurred upward, which is stable because it
-grows with order.
+The eigenvalue of the (t, s) wave at kR = x is -num/den, a ratio of
+Riccati-Bessel terms built from scipy.special.spherical_jn/yn.  Its poles are
+the zeros of den: sign changes on a uniform scan, refined by brentq.
 """
 
 from __future__ import annotations
@@ -12,6 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import spherical_jn, spherical_yn
 
 from .pointgroup import O3IrrepId, TE, TM
 
@@ -21,52 +22,8 @@ POLE_DENOMINATOR_TOL = 1e-13
 #: pole scan density: points per unit of kR/pi
 POLE_SCAN_DENSITY = 4096
 
-#: bisection convergence (absolute, in kR)
+#: pole refinement tolerance (absolute, in kR)
 POLE_BISECTION_TOL = 1e-10
-
-
-def _sph_j_array(t: int, x: float) -> np.ndarray:
-    """j_0..j_t at x > 0."""
-    out = np.empty(t + 1)
-    j0 = math.sin(x) / x
-    out[0] = j0
-    if t == 0:
-        return out
-    j1 = math.sin(x) / x ** 2 - math.cos(x) / x
-    if x >= t:
-        out[1] = j1
-        for n in range(1, t):
-            out[n + 1] = (2 * n + 1) / x * out[n] - out[n - 1]
-        return out
-    # downward recurrence from a padded start order, normalized by j_0
-    start = t + 30
-    fp = 0.0
-    f = 1e-30
-    tail = np.empty(t + 1)
-    for n in range(start, 0, -1):
-        fm = (2 * n + 1) / x * f - fp
-        fp, f = f, fm
-        if abs(f) > 1e250:
-            f *= 1e-250
-            fp *= 1e-250
-            if n <= t:
-                tail[n:t + 1] *= 1e-250
-        if n - 1 <= t:
-            tail[n - 1] = f
-    out[:] = tail * (j0 / tail[0])
-    return out
-
-
-def _sph_y_array(t: int, x: float) -> np.ndarray:
-    """y_0..y_t at x > 0 (upward recurrence)."""
-    out = np.empty(t + 1)
-    out[0] = -math.cos(x) / x
-    if t == 0:
-        return out
-    out[1] = -math.cos(x) / x ** 2 - math.sin(x) / x
-    for n in range(1, t):
-        out[n + 1] = (2 * n + 1) / x * out[n] - out[n - 1]
-    return out
 
 
 def spherical_bessel(kind: str, t: int, x: float) -> float:
@@ -76,26 +33,37 @@ def spherical_bessel(kind: str, t: int, x: float) -> float:
     if t < 0 or t > 30:
         raise ValueError("order must be in 0..30")
     if kind == "j":
-        return float(_sph_j_array(t, x)[t])
+        return float(spherical_jn(t, x))
     if kind == "y":
-        return float(_sph_y_array(t, x)[t])
+        return float(spherical_yn(t, x))
     raise ValueError("kind must be 'j' or 'y'")
 
 
-def _riccati_pair(wave: O3IrrepId, x: float):
-    """Numerator and denominator of the eigenvalue at kR = x.
+def _riccati_pair(wave: O3IrrepId, x):
+    """Numerator and denominator of the eigenvalue at kR = x (scalar or array).
 
     TE uses (y_t, j_t); TM uses the derivative d/dx [x f_t(x)], expanded as
     x f_{t-1}(x) - t f_t(x).
     """
     t = wave.t
-    j = _sph_j_array(t, x)
-    y = _sph_y_array(t, x)
     if wave.s == TE:
-        return y[t], j[t]
-    num = x * y[t - 1] - t * y[t]
-    den = x * j[t - 1] - t * j[t]
-    return num, den
+        return spherical_yn(t, x), spherical_jn(t, x)
+    return (x * spherical_yn(t - 1, x) - t * spherical_yn(t, x),
+            x * spherical_jn(t - 1, x) - t * spherical_jn(t, x))
+
+
+def _ratio(num, den) -> np.ndarray:
+    """-num/den, or a signed infinity where |den| < POLE_DENOMINATOR_TOL.
+
+    The infinity is +inf where -num/den would be positive and -inf otherwise;
+    an exact zero den gives the sign opposite to num's.  The pole branch
+    never divides, so it raises no floating-point warning.
+    """
+    pole = np.abs(den) < POLE_DENOMINATOR_TOL
+    rising = np.where(den == 0.0, np.signbit(num),
+                      np.sign(num) * np.sign(den) < 0)
+    lam = -num / np.where(pole, 1.0, den)
+    return np.where(pole, np.where(rising, np.inf, -np.inf), lam)
 
 
 def eigenvalue(wave: O3IrrepId, kR: float) -> float:
@@ -107,17 +75,7 @@ def eigenvalue(wave: O3IrrepId, kR: float) -> float:
     """
     if kR <= 0:
         raise ValueError("kR must be positive")
-    num, den = _riccati_pair(wave, kR)
-    if abs(den) < POLE_DENOMINATOR_TOL:
-        if den != 0.0:
-            return math.inf if -num / den > 0 else -math.inf
-        return -math.copysign(math.inf, num)
-    return -num / den
-
-
-def eigenvalue_denominator(wave: O3IrrepId, kR: float) -> float:
-    _, den = _riccati_pair(wave, kR)
-    return den
+    return float(_ratio(*_riccati_pair(wave, kR)))
 
 
 @dataclass(frozen=True)
@@ -156,58 +114,48 @@ def index_to_mode(n: int) -> ModeIndex:
 def poles(wave: O3IrrepId, lo: float, hi: float) -> list[float]:
     """Eigenvalue poles (denominator zeros) inside [lo, hi], in kR units.
 
-    The interval is scanned at POLE_SCAN_DENSITY points per unit of kR/pi
-    and each bracketed sign change is bisected to POLE_BISECTION_TOL.
+    The interval is scanned at POLE_SCAN_DENSITY points per unit of kR/pi.
+    Exact zeros on the scan are kept as they are; each sign change between
+    neighbours is refined by brentq to POLE_BISECTION_TOL.
     """
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
     step = math.pi / POLE_SCAN_DENSITY
     count = max(2, int(math.ceil((hi - lo) / step)) + 1)
     xs = np.linspace(lo, hi, count)
-    dens = np.array([eigenvalue_denominator(wave, float(x)) for x in xs])
+    den = _riccati_pair(wave, xs)[1]
     found = []
-    for i in range(count - 1):
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa, fb = float(dens[i]), float(dens[i + 1])
-        if fa == 0.0:
+    for i in np.flatnonzero((den[:-1] == 0.0) | (den[:-1] * den[1:] < 0.0)):
+        a = float(xs[i])
+        if den[i] == 0.0:
             found.append(a)
-            continue
-        if fa * fb < 0:
-            while b - a > POLE_BISECTION_TOL:
-                m = 0.5 * (a + b)
-                fm = eigenvalue_denominator(wave, m)
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if fa * fm < 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            found.append(0.5 * (a + b))
-    if count >= 1 and float(dens[-1]) == 0.0:
+        else:
+            found.append(brentq(lambda x: _riccati_pair(wave, x)[1], a,
+                                float(xs[i + 1]), xtol=POLE_BISECTION_TOL))
+    if den[-1] == 0.0:
         found.append(float(xs[-1]))
     return found
 
 
-@dataclass(frozen=True)
-class SphericalTrace:
-    """One analytical trace: identity, degeneracy and poles on an interval."""
+def _sample_with_poles(wave: O3IrrepId, kr: np.ndarray):
+    """sample_trace's (lam, pole_adjacent) plus the poles behind the mask.
 
-    wave: O3IrrepId
-    degeneracy: int
-    interval: tuple
-    poles: tuple
-
-    def eval(self, kR: float) -> float:
-        return eigenvalue(self.wave, kR)
-
-    __call__ = eval
-
-
-def spherical_trace(wave: O3IrrepId, lo: float, hi: float) -> SphericalTrace:
-    """Trace of (t, s) on [lo, hi] with its poles located up front."""
-    return SphericalTrace(wave, 2 * wave.t + 1, (lo, hi),
-                          tuple(poles(wave, lo, hi)))
+    The poles come from a scan of the grid padded by one cell on each side,
+    so they may lie just outside [kr[0], kr[-1]].
+    """
+    kr = np.asarray(kr, dtype=float)
+    if kr.ndim != 1 or len(kr) < 2 or np.any(np.diff(kr) <= 0):
+        raise ValueError("kr must be a strictly increasing 1-d grid")
+    if kr[0] <= 0:
+        raise ValueError("kR must be positive")
+    lam = _ratio(*_riccati_pair(wave, kr))
+    pad = float(kr[1] - kr[0])
+    found = poles(wave, max(float(kr[0]) - pad, 1e-12), float(kr[-1]) + pad)
+    adjacent = ~np.isfinite(lam)
+    i = np.searchsorted(kr, found)
+    for k in (i - 1, i):
+        adjacent[k[(k >= 0) & (k < len(kr))]] = True
+    return lam, adjacent, found
 
 
 def sample_trace(wave: O3IrrepId, kr: np.ndarray):
@@ -217,16 +165,5 @@ def sample_trace(wave: O3IrrepId, kr: np.ndarray):
     exact poles) and a bool mask flagging the two samples bracketing each
     pole, i.e. samples within one grid cell of it.
     """
-    kr = np.asarray(kr, dtype=float)
-    if kr.ndim != 1 or len(kr) < 2 or np.any(np.diff(kr) <= 0):
-        raise ValueError("kr must be a strictly increasing 1-d grid")
-    lam = np.array([eigenvalue(wave, float(x)) for x in kr])
-    adjacent = np.zeros(len(kr), dtype=bool)
-    pad = float(kr[1] - kr[0])
-    for p in poles(wave, max(float(kr[0]) - pad, 1e-12), float(kr[-1]) + pad):
-        i = int(np.searchsorted(kr, p))
-        for k in (i - 1, i):
-            if 0 <= k < len(kr):
-                adjacent[k] = True
-    adjacent |= ~np.isfinite(lam)
+    lam, adjacent, _ = _sample_with_poles(wave, kr)
     return lam, adjacent

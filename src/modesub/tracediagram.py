@@ -15,7 +15,7 @@ import numpy as np
 from .pointgroup import O3IrrepId, PointGroup, builtin_group
 from .subduction import STANDARD_CHAIN, ParityFilter, SubductionResult, \
     chain_subduce, subduce
-from .sphwave import sample_trace, spherical_trace
+from .sphwave import _sample_with_poles
 
 MAX_DIAGRAM_ORDER = 12
 
@@ -73,9 +73,9 @@ def build_diagram(tmax: int, lo: float, hi: float, grid: int,
             label = _diagram_label(wave, group, parity, parity_stage)
             if not label.entries:
                 continue
-            lam, adjacent = sample_trace(wave, kr)
-            tr = spherical_trace(wave, lo, hi)
-            out.append(LabeledTrace(wave, label, kr, lam, adjacent, tr.poles))
+            lam, adjacent, found = _sample_with_poles(wave, kr)
+            inside = tuple(p for p in found if lo <= p <= hi)
+            out.append(LabeledTrace(wave, label, kr, lam, adjacent, inside))
     return out
 
 
@@ -117,22 +117,22 @@ def find_crossings(diagram: list) -> list:
             if len(a.kr) != len(b.kr) or np.abs(a.kr - b.kr).max() > 1e-12:
                 raise ValueError("diagram traces must share one kR grid")
             shared = shared_irreps(a, b)
-            diff = a.lam - b.lam
             usable = (np.isfinite(a.lam) & np.isfinite(b.lam)
                       & ~a.pole_adjacent & ~b.pole_adjacent)
-            for i in range(len(a.kr) - 1):
-                if not (usable[i] and usable[i + 1]):
-                    continue
+            with np.errstate(invalid="ignore"):  # inf - inf where masked
+                diff = a.lam - b.lam
+                d0, d1 = diff[:-1], diff[1:]
+                hits = np.flatnonzero(usable[:-1] & usable[1:]
+                                      & ((d0 == 0.0) | (d0 * d1 < 0.0)))
+            for i in hits:
                 d0, d1 = diff[i], diff[i + 1]
                 if d0 == 0.0:
                     kr_star = float(a.kr[i])
                     lam_star = float(a.lam[i])
-                elif d0 * d1 < 0.0:
+                else:
                     frac = d0 / (d0 - d1)
                     kr_star = float(a.kr[i] + frac * (a.kr[i + 1] - a.kr[i]))
                     lam_star = float(a.lam[i] + frac * (a.lam[i + 1] - a.lam[i]))
-                else:
-                    continue
                 events.append(CrossingEvent(ia, ib, a.source, b.source,
                                             kr_star, lam_star, shared,
                                             bool(shared)))

@@ -16,10 +16,11 @@ from modesub.pointgroup import (
     normalize_group_name,
     o3_character,
     operation_from_matrix,
-    perturbed_character_table,
     rotation_character,
     verify_group,
 )
+
+from group_helpers import perturbed_character_table
 
 GROUP_ORDERS = {"O_h": 48, "O": 24, "D_4h": 16, "C_4v": 8, "C_2v": 4}
 

@@ -2,21 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 from scipy.optimize import brentq
 
 from modesub.pointgroup import O3IrrepId
+from modesub import sphwave
 from modesub.sphwave import (
     TE,
     TM,
     ModeIndex,
+    _ratio,
     eigenvalue,
     index_to_mode,
     mode_index,
     poles,
     sample_trace,
     spherical_bessel,
-    spherical_trace,
 )
 
 # first positive zero of j_1, from bisection on the closed form
@@ -124,6 +127,13 @@ def test_tm_poles_match_scipy_zero_scan():
         assert a == pytest.approx(b, abs=1e-8)
 
 
+def test_poles_keep_exact_scan_zeros(monkeypatch):
+    # a denominator that vanishes exactly on both scan end points
+    monkeypatch.setattr(sphwave, "_riccati_pair",
+                        lambda wave, x: (1.0, (x - 1.0) * (x - 2.0)))
+    assert poles(O3IrrepId(1, TE), 1.0, 2.0) == [1.0, 2.0]
+
+
 def test_mode_index_round_trip():
     seen = set()
     for t in range(1, 7):
@@ -148,13 +158,6 @@ def test_mode_index_validation():
     assert mode_index(1, -1, TE) == ModeIndex(1, -1, TE, 1)
 
 
-def test_trace_degeneracy_and_interval():
-    tr = spherical_trace(O3IrrepId(3, TM), 1.0, 5.0)
-    assert tr.degeneracy == 7
-    assert tr.interval == (1.0, 5.0)
-    assert tr(2.0) == eigenvalue(O3IrrepId(3, TM), 2.0)
-
-
 def test_sample_trace_flags_pole_neighbors():
     kr = np.linspace(4.0, 5.0, 101)
     lam, near = sample_trace(O3IrrepId(1, TE), kr)
@@ -171,3 +174,64 @@ def test_sample_trace_rejects_bad_grids():
         sample_trace(wave, np.array([1.0]))
     with pytest.raises(ValueError):
         sample_trace(wave, np.array([1.0, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="kR must be positive"):
+        sample_trace(wave, np.linspace(0.0, 1.0, 5))
+
+
+def _scipy_riccati(t, s, x):
+    if s == TE:
+        return special.spherical_yn(t, x), special.spherical_jn(t, x)
+    return (x * special.spherical_yn(t - 1, x) - t * special.spherical_yn(t, x),
+            x * special.spherical_jn(t - 1, x) - t * special.spherical_jn(t, x))
+
+
+def test_sample_trace_full_diagram_grid_matches_scipy():
+    # the grid `predict --tmax 12 --grid 4000` samples; its last point is
+    # kR = 2pi, where j_0 vanishes to rounding
+    kr = np.linspace(0.05 * np.pi, 2.0 * np.pi, 4000)
+    total_poles = total_ref = 0
+    for t in range(1, 13):
+        for s in (TE, TM):
+            lam, near = sample_trace(O3IrrepId(t, s), kr)
+            num, den = _scipy_riccati(t, s, kr)
+            free = ~near
+            ref = -num[free] / den[free]
+            assert np.all(np.abs(lam[free] - ref) <= 1e-9 * np.abs(ref)), (t, s)
+            if t >= 7:
+                assert np.isfinite(lam[-1]) and not near[-1], (t, s)
+
+            got = poles(O3IrrepId(t, s), kr[0], kr[-1])
+            ref_poles = [brentq(lambda x: _scipy_riccati(t, s, x)[1],
+                                kr[i], kr[i + 1], xtol=1e-14)
+                         for i in np.flatnonzero(den[:-1] * den[1:] < 0)]
+            assert len(got) == len(ref_poles), (t, s)
+            assert np.allclose(got, ref_poles, rtol=0, atol=1e-9)
+            total_poles += len(got)
+            total_ref += len(ref_poles)
+    assert total_poles == total_ref == 7
+
+
+def _scalar_pole_rule(num, den):
+    """The scalar eigenvalue rule _ratio vectorises, kept as its oracle."""
+    if abs(den) < 1e-13:
+        if den != 0.0:
+            return math.inf if -num / den > 0 else -math.inf
+        return -math.copysign(math.inf, num)
+    return -num / den
+
+
+_NEAR_POLE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-14, -1e-14,
+                              9.9e-14, 1e-13, -1e-13])
+_VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_NEAR_POLE, _VALUES),
+                          st.one_of(_NEAR_POLE, _VALUES)), min_size=1))
+def test_ratio_matches_scalar_rule(pairs):
+    num, den = np.array(pairs).T
+    got = _ratio(num, den)
+    want = [_scalar_pole_rule(float(a), float(b)) for a, b in pairs]
+    assert [repr(float(v)) for v in got] == [repr(v) for v in want]
+    for a, b in pairs:
+        assert repr(float(_ratio(a, b))) == repr(_scalar_pole_rule(a, b))

@@ -203,7 +203,7 @@ def test_not_a_subgroup_error():
 
 def test_filter_needs_matrices():
     # a group whose irrep matrices were dropped cannot slice slots
-    from modesub.pointgroup import perturbed_character_table
+    from group_helpers import perturbed_character_table
     d4h = builtin_group("D_4h")
     stripped = perturbed_character_table(d4h, "E_u", 0, 0)  # drops matrices
     with pytest.raises(MissingIrrepMatrixError):

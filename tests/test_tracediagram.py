@@ -1,10 +1,17 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modesub.pointgroup import TE, TM, O3IrrepId
+from modesub.sphwave import POLE_BISECTION_TOL, poles
 from modesub.subduction import ParityFilter
 from modesub.tracediagram import (
     MAX_DIAGRAM_ORDER,
+    CrossingEvent,
     build_diagram,
     find_crossings,
     predict_avoidances,
@@ -43,6 +50,21 @@ def test_filtered_diagram_labels():
         "t=2,TE": "A_2:1 B_1:1 B_2:1",
         "t=2,TM": "E:1",
     }
+
+
+def test_diagram_poles_match_interval_scan():
+    # the t=3 TM and t=1 TM poles sit within one cell outside [lo, hi]: the
+    # mask scan is padded by a cell and sees them, the stored poles do not
+    lo, hi = 1.5832 * np.pi, 1.9469 * np.pi
+    d = build_diagram(6, lo, hi, 300, "O_h")
+    by = {str(tr.source): tr for tr in d}
+    assert by["t=3,TM"].pole_adjacent[0] and by["t=1,TM"].pole_adjacent[-1]
+    assert sum(len(tr.poles) for tr in d) > 0
+    for tr in d:
+        want = poles(tr.source, lo, hi)
+        assert len(tr.poles) == len(want), str(tr.source)
+        assert np.allclose(tr.poles, want, rtol=0, atol=POLE_BISECTION_TOL)
+        assert all(lo <= p <= hi for p in tr.poles)
 
 
 def test_shared_irreps():
@@ -114,3 +136,70 @@ def test_sources_cover_both_polarizations():
     srcs = {(tr.source.t, tr.source.s) for tr in d}
     assert srcs == {(1, TE), (1, TM), (2, TE), (2, TM)}
     assert all(isinstance(tr.source, O3IrrepId) for tr in d)
+
+
+def _loop_find_crossings(diagram):
+    """find_crossings as a per-sample loop, kept as its oracle."""
+    events = []
+    for ia in range(len(diagram)):
+        for ib in range(ia + 1, len(diagram)):
+            a, b = diagram[ia], diagram[ib]
+            shared = shared_irreps(a, b)
+            with np.errstate(invalid="ignore"):
+                diff = a.lam - b.lam
+            usable = (np.isfinite(a.lam) & np.isfinite(b.lam)
+                      & ~a.pole_adjacent & ~b.pole_adjacent)
+            for i in range(len(a.kr) - 1):
+                if not (usable[i] and usable[i + 1]):
+                    continue
+                d0, d1 = diff[i], diff[i + 1]
+                if d0 == 0.0:
+                    kr_star = float(a.kr[i])
+                    lam_star = float(a.lam[i])
+                elif d0 * d1 < 0.0:
+                    frac = d0 / (d0 - d1)
+                    kr_star = float(a.kr[i] + frac * (a.kr[i + 1] - a.kr[i]))
+                    lam_star = float(a.lam[i] + frac * (a.lam[i + 1] - a.lam[i]))
+                else:
+                    continue
+                events.append(CrossingEvent(ia, ib, a.source, b.source,
+                                            kr_star, lam_star, shared,
+                                            bool(shared)))
+    return events
+
+
+# a few repeated values make exact d0 == 0 cells and ties common
+_SAMPLE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5, np.inf, -np.inf, np.nan]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+# labels with and without shared irreps; samples and masks are drawn
+_BASE = build_diagram(3, LO, HI, 2, "O_h")
+
+
+@st.composite
+def _random_diagram(draw):
+    size = draw(st.integers(2, 12))
+    count = draw(st.integers(2, 4))
+    picks = draw(st.lists(st.sampled_from(_BASE),
+                          min_size=count, max_size=count))
+    return [replace(tr, kr=np.linspace(LO, HI, size),
+                    lam=np.array(draw(st.lists(_SAMPLE, min_size=size,
+                                               max_size=size))),
+                    pole_adjacent=np.array(draw(st.lists(
+                        st.booleans(), min_size=size, max_size=size))))
+            for tr in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_diagram())
+def test_find_crossings_equals_sample_loop(diagram):
+    assert find_crossings(diagram) == _loop_find_crossings(diagram)
+
+
+def test_full_diagram_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = build_diagram(12, LO, HI, 4000, "O_h")
+        find_crossings(d)
