@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symaction import GroupAction, project_columns, projectors
+from .symaction import GroupAction
 
 #: relative spectrum cutoff below which R directions are truncated
 DEFAULT_RANK_TOLERANCE = 1e-12
@@ -84,12 +84,9 @@ class ModeSet:
     def residual_norms(self, pair: ImpedancePair) -> np.ndarray:
         """|X I - lambda R I| per mode, relative to |X| |I|."""
         x_scale = max(np.abs(pair.X).max(), 1e-300)
-        out = np.empty(self.count)
-        for k in range(self.count):
-            i_k = self.eigencurrents[:, k]
-            res = pair.X @ i_k - self.eigenvalues[k] * (pair.R @ i_k)
-            out[k] = np.linalg.norm(res) / (x_scale * np.linalg.norm(i_k))
-        return out
+        cur = self.eigencurrents
+        res = pair.X @ cur - self.eigenvalues * (pair.R @ cur)
+        return np.linalg.norm(res, axis=0) / (x_scale * np.linalg.norm(cur, axis=0))
 
     def r_orthonormality_error(self, pair: ImpedancePair) -> float:
         gram = self.eigencurrents.T @ pair.R @ self.eigencurrents
@@ -125,15 +122,12 @@ def solve_cm(pair: ImpedancePair,
 
 def _cluster_slices(eigenvalues: np.ndarray, tol: float):
     """Contiguous index runs of eigenvalues within relative distance tol."""
-    clusters = []
-    start = 0
-    for i in range(1, len(eigenvalues)):
-        if abs(eigenvalues[i] - eigenvalues[i - 1]) > tol * (1.0 + abs(eigenvalues[i])):
-            clusters.append((start, i))
-            start = i
-    if len(eigenvalues):
-        clusters.append((start, len(eigenvalues)))
-    return clusters
+    lam = np.asarray(eigenvalues, dtype=float)
+    if not len(lam):
+        return []
+    cuts = np.flatnonzero(np.abs(np.diff(lam)) > tol * (1.0 + np.abs(lam[1:]))) + 1
+    bounds = [0, *cuts.tolist(), len(lam)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -144,39 +138,60 @@ class ModeClassification:
     parities: tuple | None = None
 
 
+def _cluster_bases(currents: np.ndarray, clusters) -> np.ndarray:
+    """Orthonormal basis of each cluster's span, in the cluster's columns;
+    one batched QR per cluster size."""
+    q = np.empty_like(currents)
+    by_size = {}
+    for start, stop in clusters:
+        by_size.setdefault(stop - start, []).append(start)
+    for size, starts in by_size.items():
+        cols = np.array(starts)[:, None] + np.arange(size)      # (k, size)
+        blocks = np.linalg.qr(currents[:, cols].transpose(1, 0, 2))[0]
+        q[:, cols] = blocks.transpose(1, 0, 2)
+    return q
+
+
 def classify_modes(modes: ModeSet, action: GroupAction,
                    cluster_tolerance: float = DEFAULT_CLUSTER_TOLERANCE
                    ) -> ModeClassification:
     """Attach irrep labels to a ModeSet using a group action.
 
-    Degenerate modes are classified jointly: their span is projected per
-    irrep and the multiplicity of each irrep inside the cluster is read off
-    the projected trace.  When the per-mode dominant irreps form that
-    multiset, each mode keeps its dominant label.  Otherwise the cluster's
-    labels are the traced multiset in character-table order, assigned to its
-    modes by position, so the multiset is exact but a label need not match
-    its vector.  If the traces do not round to the cluster size, the
-    per-mode dominants are used.
+    Everything is read off the action's cached symmetry-adapted basis Q,
+    whose column blocks Q_p span the irrep subspaces: one product Q^T [V | C]
+    with the eigencurrents V and an orthonormal basis C of every cluster
+    gives each mode's weights |Q_p^T v| / |v| = |P_p v| / |v| and each
+    cluster's projected traces.  A tie in weight goes to the irrep that
+    comes first in the character table.
+
+    Degenerate modes are classified jointly: the multiplicity of each irrep
+    inside a cluster is its projected trace, rounded.  When the per-mode
+    dominant irreps form that multiset, each mode keeps its dominant label.
+    Otherwise the cluster's labels are the traced multiset in character-table
+    order, assigned to its modes by position, so the multiset is exact but a
+    label need not match its vector.  If the traces do not round to the
+    cluster size, the per-mode dominants are used.
     """
     if action.dimension != modes.eigencurrents.shape[0]:
         raise ValueError("action dimension does not match the eigencurrents")
     currents = modes.eigencurrents
-    projs = projectors(action)
-    reports = project_columns(currents, projs)
+    norms = np.linalg.norm(currents, axis=0)
+    if not norms.all():
+        raise ValueError("cannot project a zero vector")
     clusters = _cluster_slices(modes.eigenvalues, cluster_tolerance)
-    # one orthonormal basis per cluster, side by side, so a single product
-    # per irrep gives every cluster's projected trace
-    q = np.zeros_like(currents)
-    for a, b in clusters:
-        q[:, a:b] = np.linalg.qr(currents[:, a:b])[0]
+    m = currents.shape[1]
+    norms2 = action.adapted_basis.projected_norms2(
+        np.hstack([currents, _cluster_bases(currents, clusters)]))
+    weights = np.sqrt(norms2[:, :m]) / norms            # (irreps, modes)
+    names = [p.name for p in action.group.irreps]
+    dominant = [names[i] for i in np.argmax(weights, axis=0).tolist()]
     starts = np.array([a for a, _ in clusters], dtype=int)
-    traces = {name: np.add.reduceat(np.sum(q * (p @ q), axis=0), starts)
-              for name, p in projs.items()}
+    # projected trace of each irrep over each cluster, rounded to a count
+    counts = np.rint(np.add.reduceat(norms2[:, m:], starts, axis=1))
     labels = []
-    for c, (start, stop) in enumerate(clusters):
-        expanded = [name for name, tr in traces.items()
-                    for _ in range(int(round(float(tr[c]))))]
-        per_mode = [rep.dominant for rep in reports[start:stop]]
+    for (start, stop), count in zip(clusters, counts.astype(int).T.tolist()):
+        expanded = [name for name, k in zip(names, count) for _ in range(k)]
+        per_mode = dominant[start:stop]
         if len(expanded) != stop - start:
             # weight did not split integrally across the cluster; fall back to
             # per-mode dominant labels
@@ -184,5 +199,7 @@ def classify_modes(modes: ModeSet, action: GroupAction,
         elif sorted(per_mode) == sorted(expanded):
             expanded = per_mode
         labels.extend(expanded)
-    return ModeClassification(tuple(labels), tuple(rep.weights for rep in reports),
-                              tuple(clusters))
+    return ModeClassification(
+        tuple(labels),
+        tuple(dict(zip(names, col)) for col in weights.T.tolist()),
+        tuple(clusters))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import struct
 import warnings
 from collections.abc import Iterator
@@ -70,10 +71,27 @@ def _load_csv(path) -> np.ndarray:
             m = np.loadtxt(path, delimiter=",", ndmin=2, comments=None,
                            quotechar='"')
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {_csv_error(str(exc))}") from None
     if m.size == 0:
         raise ValueError(f"{path}: empty matrix file")
     return m
+
+
+# numpy.loadtxt's messages; its rows count matrix rows (blank lines skipped),
+# from 1 in the first and from 0 in the second
+_RAGGED = re.compile(r"the number of columns changed from (\d+) to (\d+) "
+                     r"at row (\d+);")
+_NOT_FLOAT = re.compile(r"could not convert string (.*) to float64 at row "
+                        r"(\d+), column (\d+)\.$", re.DOTALL)
+
+
+def _csv_error(message: str) -> str:
+    """numpy's parse error as ``row R: ...`` with R counted from 1."""
+    if m := _RAGGED.match(message):
+        return f"row {m[3]}: expected {m[1]} fields, found {m[2]}"
+    if m := _NOT_FLOAT.match(message):
+        return f"row {int(m[2]) + 1}: field {m[3]} is not a number: {m[1]}"
+    return message
 
 
 def save_vectors_csv(path, vectors) -> None:

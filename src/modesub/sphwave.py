@@ -43,13 +43,17 @@ def _riccati_pair(wave: O3IrrepId, x):
     """Numerator and denominator of the eigenvalue at kR = x (scalar or array).
 
     TE uses (y_t, j_t); TM uses the derivative d/dx [x f_t(x)], expanded as
-    x f_{t-1}(x) - t f_t(x).
+    x f_{t-1}(x) - t f_t(x).  Where y_t overflows (tiny x) the TM numerator
+    takes its limit -t y_t = +inf, which dominates x y_{t-1}, instead of
+    inf - inf.
     """
     t = wave.t
+    y = spherical_yn(t, x)
     if wave.s == TE:
-        return spherical_yn(t, x), spherical_jn(t, x)
-    return (x * spherical_yn(t - 1, x) - t * spherical_yn(t, x),
-            x * spherical_jn(t - 1, x) - t * spherical_jn(t, x))
+        return y, spherical_jn(t, x)
+    with np.errstate(invalid="ignore"):
+        num = np.where(np.isinf(y), -t * y, x * spherical_yn(t - 1, x) - t * y)
+    return num, x * spherical_jn(t - 1, x) - t * spherical_jn(t, x)
 
 
 def _ratio(num, den) -> np.ndarray:

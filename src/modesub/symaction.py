@@ -5,14 +5,16 @@ and rotating the per-point vectors, so every group element acts as a signed
 block permutation: one point permutation plus one dof x dof block per point.
 The action stores only those, O(g N dof) numbers; dense operators and the
 character projectors are scattered from them on demand.  The projectors split
-any coefficient vector into its irrep components, which is what mode
-classification runs on.
+any coefficient vector into its irrep components.  Each action also caches
+an orthonormal symmetry-adapted basis, built on first use, whose column
+blocks span the irreps' subspaces; mode classification runs on it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -89,6 +91,30 @@ class GroupAction:
     def operators(self) -> Mapping:
         """Element index -> dense N x N matrix, materialised on each access."""
         return _DenseOperators(self)
+
+    @cached_property
+    def adapted_basis(self) -> AdaptedBasis:
+        """Orthonormal symmetry-adapted basis, built on first access."""
+        return _adapted_basis(self)
+
+
+@dataclass(frozen=True, eq=False)
+class AdaptedBasis:
+    """Orthonormal basis whose columns offsets[p]:offsets[p + 1] span the
+    subspace of the p-th irrep in table order (the range of its projector).
+    """
+
+    q: np.ndarray            # (N, N) orthonormal
+    offsets: np.ndarray      # (irreps + 1,) column offsets
+
+    def projected_norms2(self, vectors) -> np.ndarray:
+        """|P_p v|^2 for every irrep p (rows, table order) and column v."""
+        y2 = (self.q.T @ vectors) ** 2
+        # reduceat over an empty segment returns a row, not zero
+        out = np.zeros((len(self.offsets) - 1, y2.shape[1]))
+        full = np.diff(self.offsets) > 0
+        out[full] = np.add.reduceat(y2, self.offsets[:-1][full], axis=0)
+        return out
 
 
 class _DenseOperators(Mapping):
@@ -221,20 +247,57 @@ def orbit_points(group: PointGroup, seed, tol: float = 1e-8) -> np.ndarray:
     return np.array(pts)
 
 
-def _projectors(action: GroupAction, irreps) -> dict:
-    """Character projectors (d_p/g) sum_T chi_p(T)* D(T) for `irreps`,
-    scattered block by block in one pass over the elements."""
-    group = action.group
+def _characters(group: PointGroup, irreps) -> np.ndarray:
+    return np.array([[group.character(p, t) for t in range(group.order)]
+                     for p in irreps], dtype=float)
+
+
+def _scatter(action: GroupAction, coeffs: np.ndarray) -> np.ndarray:
+    """sum_T coeffs[k, T] D(T) for every row k, as (rows, N, N), scattered
+    block by block in one pass over the elements."""
     n, dof = action.perms.shape[1], action.dof
-    chars = np.array([[group.character(p, t) for t in range(group.order)]
-                      for p in irreps], dtype=float)
-    acc = np.zeros((len(irreps), n, n, dof, dof))
+    acc = np.zeros((len(coeffs), n, n, dof, dof))
     rows = np.arange(n)
-    for t in range(group.order):
-        acc[:, rows, action.perms[t]] += chars[:, t, None, None, None] * action.blocks[t]
-    return {p.name: (p.dimension / group.order)
-            * a.transpose(0, 2, 1, 3).reshape(n * dof, n * dof)
-            for p, a in zip(irreps, acc)}
+    for t in range(action.group.order):
+        acc[:, rows, action.perms[t]] += coeffs[:, t, None, None, None] * action.blocks[t]
+    return acc.transpose(0, 1, 3, 2, 4).reshape(len(coeffs), n * dof, n * dof)
+
+
+def _projectors(action: GroupAction, irreps) -> dict:
+    """Character projectors (d_p/g) sum_T chi_p(T)* D(T) for `irreps`."""
+    sums = _scatter(action, _characters(action.group, irreps))
+    return {p.name: (p.dimension / action.group.order) * s
+            for p, s in zip(irreps, sums)}
+
+
+#: largest distance of an eigenvalue of sum_p k P_p from its irrep index k
+BASIS_INDEX_TOL = 1e-6
+
+
+def _adapted_basis(action: GroupAction) -> AdaptedBasis:
+    """Eigenvectors of M = sum_p k P_p, k the irrep's 1-based table index.
+
+    M is symmetric with eigenvalue k exactly on the p-th irrep's subspace,
+    so eigh sorts its eigenvectors into irrep blocks in table order.
+    """
+    group = action.group
+    dims = np.array([p.dimension for p in group.irreps], dtype=float)
+    index = np.arange(1, len(group.irreps) + 1)
+    row = (index * dims) @ _characters(group, group.irreps) / group.order
+    w, q = np.linalg.eigh(_scatter(action, row[None])[0])
+    k = np.rint(w)
+    if (np.abs(w - k).max(initial=0.0) > BASIS_INDEX_TOL
+            or not np.isin(k, index).all()):
+        raise RuntimeError(
+            f"the projectors of {group.name} do not split this action into "
+            f"irrep subspaces (eigenvalues of sum_p k P_p in "
+            f"[{w.min():.6g}, {w.max():.6g}], expected integers 1.."
+            f"{len(index)})")
+    offsets = np.searchsorted(k, np.arange(1, len(index) + 2), side="left")
+    # one cached basis serves every caller
+    q.setflags(write=False)
+    offsets.setflags(write=False)
+    return AdaptedBasis(q, offsets)
 
 
 def projector(action: GroupAction, irrep_name: str) -> np.ndarray:

@@ -290,34 +290,72 @@ def detect_avoidances(traces, gap_threshold: float = DEFAULT_GAP_THRESHOLD
     over the overlap.  Each interior local minimum of |lambda_a - lambda_b|
     yields a signature pairing the indentation (lower trace) with the peak
     (upper trace): microscopic (MICA) when the closest approach stays below
-    `gap_threshold`, macroscopic (MACA) otherwise.
+    `gap_threshold`, macroscopic (MACA) otherwise.  Signatures come ordered
+    by trace pair (positions in `traces`) and then by frequency.
+
+    Traces of one irrep that share a frequency array share that grid with
+    every partner, so the search runs on arrays per pair of such groups.
     """
+    groups = {}            # irrep -> frequency bytes -> (frequencies, positions)
+    for pos, tr in enumerate(traces):
+        f = tr.frequencies
+        if tr.irrep is not None and len(f) >= 2:
+            groups.setdefault(tr.irrep, {}).setdefault(
+                f.tobytes(), (f, []))[1].append(pos)
+    hits = []
+    for same_irrep in groups.values():
+        members = list(same_irrep.values())
+        for u, (fu, pu) in enumerate(members):
+            for fv, pv in members[u:]:
+                hits.extend(_group_minima(traces, fu, pu, fv, pv))
+    if not hits:
+        return []
+    ia, ib, k, lower, upper, freq, gap = (np.concatenate(c) for c in zip(*hits))
     out = []
-    for ia in range(len(traces)):
-        for ib in range(ia + 1, len(traces)):
-            a, b = traces[ia], traces[ib]
-            if a.irrep is None or a.irrep != b.irrep:
-                continue
-            fa, la = a.frequencies, a.lambdas
-            fb, lb = b.frequencies, b.lambdas
-            if len(fa) < 2 or len(fb) < 2:
-                continue
-            lo = max(fa.min(), fb.min())
-            hi = min(fa.max(), fb.max())
-            if hi <= lo:
-                continue
-            grid = np.union1d(fa, fb)
-            grid = grid[(grid >= lo) & (grid <= hi)]
-            if len(grid) < 3:
-                continue
-            ga = np.interp(grid, fa, la)
-            gb = np.interp(grid, fb, lb)
-            gap = np.abs(ga - gb)
-            for i in range(1, len(grid) - 1):
-                if gap[i] <= gap[i - 1] and gap[i] < gap[i + 1]:
-                    lower, upper = (a, b) if ga[i] <= gb[i] else (b, a)
-                    kind = "MICA" if gap[i] <= gap_threshold else "MACA"
-                    out.append(AvoidanceSignature(lower.id, upper.id, a.irrep,
-                                                  float(grid[i]),
-                                                  float(gap[i]), kind))
+    for i in np.lexsort((k, ib, ia)).tolist():
+        g = float(gap[i])
+        out.append(AvoidanceSignature(
+            traces[lower[i]].id, traces[upper[i]].id, traces[ia[i]].irrep,
+            float(freq[i]), g, "MICA" if g <= gap_threshold else "MACA"))
     return out
+
+
+#: gap entries evaluated at once by detect_avoidances (bounds its memory)
+_GAP_CHUNK = 1 << 20
+
+
+def _group_minima(traces, fu, pu, fv, pv):
+    """Gap minima between traces at positions pu (frequencies fu) and pv (fv).
+
+    Yields (ia, ib, grid index, lower, upper, frequency, gap) arrays per
+    chunk, with ia < ib the pair's positions; pu is pv for pairs inside one
+    group.
+    """
+    lo = max(fu.min(), fv.min())
+    hi = min(fu.max(), fv.max())
+    if hi <= lo:
+        return
+    grid = np.union1d(fu, fv)
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    if len(grid) < 3:
+        return
+    same = pv is pu
+    gu = np.array([np.interp(grid, fu, traces[p].lambdas) for p in pu])
+    gv = gu if same else np.array([np.interp(grid, fv, traces[p].lambdas)
+                                       for p in pv])
+    pu, pv = np.array(pu), np.array(pv)
+    step = max(1, _GAP_CHUNK // (len(pv) * len(grid)))
+    for r0 in range(0, len(pu), step):
+        rows = slice(r0, r0 + step)
+        gap = np.abs(gu[rows, None, :] - gv[None, :, :])
+        hit = (gap[..., 1:-1] <= gap[..., :-2]) & (gap[..., 1:-1] < gap[..., 2:])
+        if same:
+            hit &= (pv[None, :] > pu[rows, None])[..., None]
+        i, j, k = np.nonzero(hit)
+        i += r0
+        k += 1
+        a, b = pu[i], pv[j]
+        la, lb = gu[i, k], gv[j, k]
+        a_lower = np.where(a < b, la <= lb, la < lb)   # ties: earlier trace
+        yield (np.minimum(a, b), np.maximum(a, b), k, np.where(a_lower, a, b),
+               np.where(a_lower, b, a), grid[k], gap[i - r0, j, k])

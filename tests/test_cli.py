@@ -131,6 +131,17 @@ def test_solve_rejects_nonfinite_matrix(capsys, tmp_path):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_solve_reports_the_bad_csv_row(capsys, tmp_path):
+    (tmp_path / "x.csv").write_text("1,2\n3\n")
+    fileio.save_matrix_csv(tmp_path / "r.csv", np.eye(2))
+    code, _, err = run(capsys, "solve", "--x", str(tmp_path / "x.csv"),
+                       "--r", str(tmp_path / "r.csv"),
+                       "--out", str(tmp_path / "m.json"))
+    assert code == 2
+    assert err == (f"error: {tmp_path / 'x.csv'}: row 2: expected 2 fields, "
+                   f"found 1\n")
+
+
 def test_solve_with_labels(capsys, tmp_path):
     act, shifts = symmetric_problem(tmp_path)
     out_path = tmp_path / "modes.json"

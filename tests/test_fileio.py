@@ -446,6 +446,22 @@ def test_csv_reader_rejects_naming_the_file(tmp_path, text):
             fileio.load_vectors_csv(p)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n3\n", "row 2: expected 2 fields, found 1"),
+    ("1,x\n3,4\n", "row 1: field 2 is not a number: 'x'"),
+    ("\n1,2\n\n3,4,5\n", "row 2: expected 2 fields, found 3"),
+    ("1,2\n\n3,4\n5,y\n", "row 3: field 2 is not a number: 'y'"),
+    ("1,2,\n", "row 1: field 3 is not a number: ''"),
+])
+def test_csv_errors_name_the_row(tmp_path, text, message):
+    # rows count matrix rows from 1; blank lines are skipped
+    p = tmp_path / "bad.csv"
+    p.write_bytes(text.encode())
+    with pytest.raises(ValueError) as err:
+        fileio.load_matrix(p)
+    assert str(err.value) == f"{p}: {message}"
+
+
 def test_csv_reader_rejects_binary_grid_as_vectors(tmp_path):
     p = tmp_path / "v.cmx"
     fileio.save_matrix_binary(p, np.arange(9.0).reshape(3, 3))

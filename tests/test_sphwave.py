@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,20 @@ def test_pole_approach_signs():
     wave = O3IrrepId(1, TE)
     assert eigenvalue(wave, x0 - 1e-4) < -1e3
     assert eigenvalue(wave, x0 + 1e-4) > 1e3
+
+
+@pytest.mark.parametrize("t", [1, 7, 12])
+def test_tiny_kr_keeps_the_small_argument_limit(t):
+    # y_t overflows there; TM must not turn inf - inf into a sign flip
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eigenvalue(O3IrrepId(t, TM), 1e-10) < -1e29
+        for x in (1e-30, 1e-200):
+            assert eigenvalue(O3IrrepId(t, TM), x) == -math.inf
+            assert eigenvalue(O3IrrepId(t, TE), x) == math.inf
+        lam, _ = sample_trace(O3IrrepId(t, TM), np.array([1e-200, 1e-30, 1.0]))
+    assert lam[:2].tolist() == [-math.inf, -math.inf]
+    assert lam[2] == eigenvalue(O3IrrepId(t, TM), 1.0)
 
 
 def test_exact_pole_gives_signed_infinity():

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from modesub import fileio, symaction
+from modesub.cmsolver import ImpedancePair, classify_modes, solve_cm
 from modesub.pointgroup import builtin_group
 from modesub.symaction import (
     BasisNotIsotypicError,
+    GroupAction,
     PointSetNotSymmetricError,
     _permutation,
     action_from_operators,
@@ -311,3 +314,68 @@ def test_operators_that_are_not_block_monomial_rejected():
         action_from_operators(g, noisy)
     with pytest.raises(ValueError, match="not a multiple of dof 3"):
         action_from_operators(g, [m[:7, :7] for m in ops], 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(GROUPS), dof=st.sampled_from([1, 3]),
+       on_axis=st.booleans(), data=st.data())
+def test_adapted_basis_spans_the_projectors(name, dof, on_axis, data):
+    g = builtin_group(name)
+    # a point on the principal axis leaves some irreps without columns
+    pts = (orbit_points(g, np.array([0.0, 0.0, 1.0])) if on_axis
+           else draw_points(data, g))
+    act = action_from_points(g, pts, dof=dof)
+    q, offsets = act.adapted_basis.q, act.adapted_basis.offsets
+    n = act.dimension
+    assert q.shape == (n, n)
+    assert offsets[0] == 0 and offsets[-1] == n
+    assert len(offsets) == len(g.irreps) + 1
+    assert np.abs(q.T @ q - np.eye(n)).max() < 1e-12
+    for p, a, b in zip(g.irreps, offsets[:-1], offsets[1:]):
+        qp = q[:, a:b]
+        assert np.abs(qp @ qp.T - projector(act, p.name)).max() < 1e-12
+    v = np.random.default_rng(1).normal(size=(n, 3))
+    want = [np.linalg.norm(projector(act, p.name) @ v, axis=0) ** 2
+            for p in g.irreps]
+    assert np.allclose(act.adapted_basis.projected_norms2(v), want,
+                       rtol=0, atol=1e-12)
+    if on_axis:
+        assert (np.diff(offsets) == 0).any()
+
+
+def test_adapted_basis_built_once_per_action(monkeypatch, tmp_path):
+    calls = []
+    build = symaction._adapted_basis
+    monkeypatch.setattr(symaction, "_adapted_basis",
+                        lambda act: calls.append(act) or build(act))
+    g, act = make_action("C_4v")
+    fileio.save_action_json(tmp_path / "a.json", act)
+    loaded = fileio.load_action_json(tmp_path / "a.json")
+    # nothing is built at set-up
+    assert "adapted_basis" not in vars(act)
+    assert "adapted_basis" not in vars(loaded)
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(act.dimension, act.dimension))
+    x = sum(act.apply(t, act.apply(t, a + a.T).T).T for t in range(g.order))
+    modes = solve_cm(ImpedancePair((x + x.T) / 2, np.eye(act.dimension)))
+    first = classify_modes(modes, act)
+    second = classify_modes(modes, act)
+    assert first == second
+    assert calls == [act]
+    assert act.adapted_basis is act.adapted_basis
+    _, other = make_action("C_4v")
+    classify_modes(modes, other)
+    assert calls == [act, other]
+
+
+def test_adapted_basis_rejects_an_action_that_is_no_representation():
+    g, act = make_action("C_4v", dof=1)
+    ops = [act.operators[t] for t in range(g.order)]
+    # elements 1 and 4 lie in different classes
+    ops[1], ops[4] = ops[4], ops[1]
+    bad = action_from_operators(g, ops)
+    with pytest.raises(RuntimeError, match="do not split this action"):
+        bad.adapted_basis
+    flipped = GroupAction(g, act.perms, -act.blocks)
+    with pytest.raises(RuntimeError, match="expected integers 1..5"):
+        flipped.adapted_basis

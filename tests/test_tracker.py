@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from modesub import tracker
 from modesub.tracker import (
     DEFAULT_JUMP_THRESHOLD,
+    AvoidanceSignature,
     Snapshot,
     TrackOptions,
     TrackedTrace,
@@ -271,3 +275,104 @@ def test_snapshots_sorted_by_frequency():
     traces = track(snaps, TrackOptions(enforce_no_crossing=False))
     for tr in traces:
         assert list(tr.frequencies) == [0.0, 1.0, 2.0]
+
+
+def seed_detect_avoidances(traces, gap_threshold=1.0):
+    """The per-pair loop detect_avoidances replaced, kept as its oracle."""
+    out = []
+    for ia in range(len(traces)):
+        for ib in range(ia + 1, len(traces)):
+            a, b = traces[ia], traces[ib]
+            if a.irrep is None or a.irrep != b.irrep:
+                continue
+            fa, la = a.frequencies, a.lambdas
+            fb, lb = b.frequencies, b.lambdas
+            if len(fa) < 2 or len(fb) < 2:
+                continue
+            lo = max(fa.min(), fb.min())
+            hi = min(fa.max(), fb.max())
+            if hi <= lo:
+                continue
+            grid = np.union1d(fa, fb)
+            grid = grid[(grid >= lo) & (grid <= hi)]
+            if len(grid) < 3:
+                continue
+            ga = np.interp(grid, fa, la)
+            gb = np.interp(grid, fb, lb)
+            gap = np.abs(ga - gb)
+            for i in range(1, len(grid) - 1):
+                if gap[i] <= gap[i - 1] and gap[i] < gap[i + 1]:
+                    lower, upper = (a, b) if ga[i] <= gb[i] else (b, a)
+                    kind = "MICA" if gap[i] <= gap_threshold else "MACA"
+                    out.append(AvoidanceSignature(lower.id, upper.id, a.irrep,
+                                                  float(grid[i]),
+                                                  float(gap[i]), kind))
+    return out
+
+
+# frequencies come from one small grid, so traces share frequency arrays,
+# start late (births), stop early (deaths) or skip points (ragged grids);
+# lambdas come from a few levels, so gaps tie
+_FREQS = [0.0, 0.5, 1.0, 1.25, 2.0, 3.0, 3.5]
+_LAMBDAS = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+                     st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@st.composite
+def trace_sets(draw):
+    count = draw(st.integers(0, 9))
+    traces = []
+    ids = draw(st.permutations(range(count)))
+    for k in range(count):
+        shape = draw(st.sampled_from(["full", "span", "subset"]))
+        if shape == "full":
+            freqs = _FREQS
+        elif shape == "span":
+            lo = draw(st.integers(0, len(_FREQS) - 1))
+            hi = draw(st.integers(lo, len(_FREQS) - 1))
+            freqs = _FREQS[lo:hi + 1]
+        else:
+            freqs = sorted(draw(st.sets(st.sampled_from(_FREQS))))
+        lams = draw(st.lists(_LAMBDAS, min_size=len(freqs),
+                             max_size=len(freqs)))
+        irrep = draw(st.sampled_from([None, "A_1", "A_1", "E"]))
+        traces.append(TrackedTrace(
+            ids[k], irrep,
+            [TracePoint(f, lam, k) for f, lam in zip(freqs, lams)], []))
+    return traces
+
+
+def _trace(tid, freqs, lams, irrep="A_1"):
+    return TrackedTrace(tid, irrep, [TracePoint(float(f), float(lam), 0)
+                                     for f, lam in zip(freqs, lams)], [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces=trace_sets(), threshold=st.sampled_from([0.0, 0.5, 1.0]))
+# traces 1 and 2 touch (gap 0) at f = 1; the earlier one, 1, is the lower
+# although trace 2's frequency array was seen first
+@example(traces=[_trace(0, [0, 1, 2], [5, 5, 5]),
+                 _trace(1, [0, 1, 2, 3], [1, 0, 1, 2]),
+                 _trace(2, [0, 1, 2], [-1, 0, -1])], threshold=1.0)
+def test_detect_avoidances_matches_pair_loop(traces, threshold):
+    got = detect_avoidances(traces, threshold)
+    want = seed_detect_avoidances(traces, threshold)
+    assert got == want
+    assert [(s.frequency, s.gap) for s in got] == \
+        [(s.frequency, s.gap) for s in want]
+    assert all(type(s.frequency) is float and type(s.gap) is float
+               for s in got)
+
+
+def test_detect_avoidances_in_chunks(monkeypatch):
+    # a chunk smaller than one row of gaps splits every group pair
+    rng = np.random.default_rng(9)
+    freqs = np.linspace(0.0, 1.0, 12)
+    traces = [TrackedTrace(k, "T_2g",
+                           [TracePoint(f, lam, k) for f, lam in
+                            zip(freqs, rng.normal(size=len(freqs)))], [])
+              for k in range(6)]
+    want = seed_detect_avoidances(traces)
+    assert len(want) > 10
+    monkeypatch.setattr(tracker, "_GAP_CHUNK", 1)
+    assert detect_avoidances(traces) == want
