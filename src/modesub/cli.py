@@ -132,6 +132,12 @@ def cmd_chain(args) -> int:
     return 0
 
 
+def _check_k_range(args) -> None:
+    for flag in ("kmin", "kmax"):
+        if not math.isfinite(getattr(args, flag)):
+            raise ValueError(f"--{flag} must be finite")
+
+
 def cmd_sphere(args) -> int:
     import csv
 
@@ -140,6 +146,7 @@ def cmd_sphere(args) -> int:
     from .pointgroup import O3IrrepId
     from .sphwave import TE, TM, eigenvalue, sample_trace
 
+    _check_k_range(args)
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
     if args.kmax < args.kmin:
@@ -176,6 +183,7 @@ def cmd_predict(args) -> int:
     from . import svgplot
     from .tracediagram import build_diagram, find_crossings, predict_avoidances
 
+    _check_k_range(args)
     if args.grid < 2:
         raise ValueError("--grid needs at least 2 samples")
     diagram = build_diagram(args.tmax, args.kmin * np.pi, args.kmax * np.pi,
@@ -245,13 +253,13 @@ def cmd_solve(args) -> int:
 
 def cmd_classify(args) -> int:
     from .fileio import load_action_json, load_matrix, load_vectors_csv
-    from .symaction import parity_check, project_columns, projectors
+    from .symaction import parity_check, project_columns
 
     action = load_action_json(args.action)
     vectors = load_vectors_csv(args.vectors)
     weight = load_matrix(args.weight) if args.weight else None
     reports = []
-    for k, rep in enumerate(project_columns(vectors, projectors(action))):
+    for k, rep in enumerate(project_columns(vectors, action)):
         entry = {
             "vector": k,
             "dominant": rep.dominant,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symaction import GroupAction
+from .symaction import GroupAction, irrep_weights
 
 #: relative spectrum cutoff below which R directions are truncated
 DEFAULT_RANK_TOLERANCE = 1e-12
@@ -158,11 +158,11 @@ def classify_modes(modes: ModeSet, action: GroupAction,
     """Attach irrep labels to a ModeSet using a group action.
 
     Everything is read off the action's cached symmetry-adapted basis Q,
-    whose column blocks Q_p span the irrep subspaces: one product Q^T [V | C]
-    with the eigencurrents V and an orthonormal basis C of every cluster
-    gives each mode's weights |Q_p^T v| / |v| = |P_p v| / |v| and each
-    cluster's projected traces.  A tie in weight goes to the irrep that
-    comes first in the character table.
+    whose column blocks Q_p span the irrep subspaces: Q^T V with the
+    eigencurrents V gives each mode's weights |Q_p^T v| / |v| = |P_p v| / |v|
+    (`irrep_weights`), and Q^T C with an orthonormal basis C of every
+    cluster gives each cluster's projected traces.  A tie in weight goes to
+    the irrep that comes first in the character table.
 
     Degenerate modes are classified jointly: the multiplicity of each irrep
     inside a cluster is its projected trace, rounded.  When the per-mode
@@ -175,19 +175,15 @@ def classify_modes(modes: ModeSet, action: GroupAction,
     if action.dimension != modes.eigencurrents.shape[0]:
         raise ValueError("action dimension does not match the eigencurrents")
     currents = modes.eigencurrents
-    norms = np.linalg.norm(currents, axis=0)
-    if not norms.all():
-        raise ValueError("cannot project a zero vector")
+    weights = irrep_weights(currents, action)           # (irreps, modes)
     clusters = _cluster_slices(modes.eigenvalues, cluster_tolerance)
-    m = currents.shape[1]
     norms2 = action.adapted_basis.projected_norms2(
-        np.hstack([currents, _cluster_bases(currents, clusters)]))
-    weights = np.sqrt(norms2[:, :m]) / norms            # (irreps, modes)
+        _cluster_bases(currents, clusters))
     names = [p.name for p in action.group.irreps]
     dominant = [names[i] for i in np.argmax(weights, axis=0).tolist()]
     starts = np.array([a for a, _ in clusters], dtype=int)
     # projected trace of each irrep over each cluster, rounded to a count
-    counts = np.rint(np.add.reduceat(norms2[:, m:], starts, axis=1))
+    counts = np.rint(np.add.reduceat(norms2, starts, axis=1))
     labels = []
     for (start, stop), count in zip(clusters, counts.astype(int).T.tolist()):
         expanded = [name for name, k in zip(names, count) for _ in range(k)]

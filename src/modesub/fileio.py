@@ -20,7 +20,8 @@ import numpy as np
 
 from .cmsolver import ModeSet
 from .pointgroup import builtin_group
-from .symaction import GroupAction, action_from_operators, action_from_points
+from .symaction import (GroupAction, _dense, action_from_operators,
+                        action_from_points)
 from .tracker import Snapshot, TracePoint, TrackedTrace
 
 MATRIX_MAGIC = b"CMX1"
@@ -263,8 +264,8 @@ def save_action_json(path, action: GroupAction) -> None:
     doc = {
         "group": action.group.name,
         # a generator, so only one dense matrix is held at a time
-        "operators": (np.asarray(action.operators[i], dtype=float)
-                      for i in range(action.group.order)),
+        "operators": (_dense(perm, blocks)
+                      for perm, blocks in zip(action.perms, action.blocks)),
     }
     if action.points is not None:
         # kept so loaders can induce mirror operators outside the group

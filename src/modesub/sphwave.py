@@ -25,11 +25,20 @@ POLE_SCAN_DENSITY = 4096
 #: pole refinement tolerance (absolute, in kR)
 POLE_BISECTION_TOL = 1e-10
 
+#: smallest kR evaluated: spherical_jn(t >= 1, x) is NaN at subnormal x
+KR_MIN = float(np.finfo(float).tiny)
+
+
+def check_kr(kr) -> None:
+    """ValueError unless every kR is finite and at least KR_MIN (not NaN)."""
+    if not np.all((kr >= KR_MIN) & np.isfinite(kr)):
+        raise ValueError(f"kR must be positive and normal: finite and at "
+                         f"least {KR_MIN!r}")
+
 
 def spherical_bessel(kind: str, t: int, x: float) -> float:
     """Spherical Bessel function of the first ("j") or second ("y") kind."""
-    if x <= 0:
-        raise ValueError("argument must be positive")
+    check_kr(x)
     if t < 0 or t > 30:
         raise ValueError("order must be in 0..30")
     if kind == "j":
@@ -77,8 +86,7 @@ def eigenvalue(wave: O3IrrepId, kR: float) -> float:
     POLE_DENOMINATOR_TOL; the sign continues the approach from below
     (-inf) or above (+inf) of the pole.
     """
-    if kR <= 0:
-        raise ValueError("kR must be positive")
+    check_kr(kR)
     return float(_ratio(*_riccati_pair(wave, kR)))
 
 
@@ -122,7 +130,8 @@ def poles(wave: O3IrrepId, lo: float, hi: float) -> list[float]:
     Exact zeros on the scan are kept as they are; each sign change between
     neighbours is refined by brentq to POLE_BISECTION_TOL.
     """
-    if not (0 < lo < hi):
+    check_kr(np.array([lo, hi]))
+    if not lo < hi:
         raise ValueError("need 0 < lo < hi")
     step = math.pi / POLE_SCAN_DENSITY
     count = max(2, int(math.ceil((hi - lo) / step)) + 1)
@@ -148,10 +157,9 @@ def _sample_with_poles(wave: O3IrrepId, kr: np.ndarray):
     so they may lie just outside [kr[0], kr[-1]].
     """
     kr = np.asarray(kr, dtype=float)
+    check_kr(kr)
     if kr.ndim != 1 or len(kr) < 2 or np.any(np.diff(kr) <= 0):
         raise ValueError("kr must be a strictly increasing 1-d grid")
-    if kr[0] <= 0:
-        raise ValueError("kR must be positive")
     lam = _ratio(*_riccati_pair(wave, kr))
     pad = float(kr[1] - kr[0])
     found = poles(wave, max(float(kr[0]) - pad, 1e-12), float(kr[-1]) + pad)

@@ -1,18 +1,17 @@
-"""Group actions on point-sampled fields and character projection.
+"""Group actions on point-sampled fields and irrep projection.
 
 A field sampled on a symmetric point set transforms by permuting the points
 and rotating the per-point vectors, so every group element acts as a signed
 block permutation: one point permutation plus one dof x dof block per point.
-The action stores only those, O(g N dof) numbers; dense operators and the
-character projectors are scattered from them on demand.  The projectors split
-any coefficient vector into its irrep components.  Each action also caches
-an orthonormal symmetry-adapted basis, built on first use, whose column
-blocks span the irreps' subspaces; mode classification runs on it.
+The action stores only those, O(g N dof) numbers.  Each action caches an
+orthonormal symmetry-adapted basis, built on first use, whose column blocks
+span the irreps' subspaces; every irrep weight, of a mode or of a user
+vector, is read off it.  `projector` keeps the character formula as the
+reference the basis is checked against.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +25,9 @@ CLASSIFY_THRESHOLD = 1.0 - 1e-6
 
 #: largest entry a dense operator may hold outside its block pattern
 OPERATOR_DECODE_TOL = 1e-12
+
+#: largest error a decoded action may show in B^T B = I and D(S) D(T) = D(ST)
+REPRESENTATION_TOL = 1e-10
 
 
 class PointSetNotSymmetricError(ValueError):
@@ -87,11 +89,6 @@ class GroupAction:
             raise IndexError(f"no element {element_index} in {self.group.name}")
         return _apply(self.perms[element_index], self.blocks[element_index], v)
 
-    @property
-    def operators(self) -> Mapping:
-        """Element index -> dense N x N matrix, materialised on each access."""
-        return _DenseOperators(self)
-
     @cached_property
     def adapted_basis(self) -> AdaptedBasis:
         """Orthonormal symmetry-adapted basis, built on first access."""
@@ -115,22 +112,6 @@ class AdaptedBasis:
         full = np.diff(self.offsets) > 0
         out[full] = np.add.reduceat(y2, self.offsets[:-1][full], axis=0)
         return out
-
-
-class _DenseOperators(Mapping):
-    def __init__(self, action: GroupAction):
-        self._action = action
-
-    def __getitem__(self, index):
-        if index not in range(len(self)):
-            raise KeyError(index)
-        return _dense(self._action.perms[index], self._action.blocks[index])
-
-    def __iter__(self):
-        return iter(range(len(self)))
-
-    def __len__(self):
-        return self._action.group.order
 
 
 def _frozen(a, dtype):
@@ -206,7 +187,8 @@ def action_from_operators(group: PointGroup, operators, dof: int = 1,
 
     Each matrix must be a signed block permutation with dof x dof blocks:
     exactly one nonzero block in every block row and block column, and
-    nothing above OPERATOR_DECODE_TOL outside it.
+    nothing above OPERATOR_DECODE_TOL outside it.  The blocks must be
+    orthogonal and the matrices must multiply like the group's elements.
     """
     ops = np.asarray(operators, dtype=float)
     if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
@@ -222,17 +204,31 @@ def action_from_operators(group: PointGroup, operators, dof: int = 1,
     size = np.abs(tiles).max(axis=(3, 4))                    # (g, n, n)
     perms = size.argmax(axis=2)
     picked = (np.arange(g)[:, None], np.arange(n), perms)
-    kept = size[picked]
+    blocks = tiles[picked]
     size[picked] = 0.0
+    # an orthogonal block is never zero
+    skew = np.abs(np.swapaxes(blocks, -1, -2) @ blocks - np.eye(dof))
     ok = (np.isfinite(ops).all(axis=(1, 2))
           & (size.max(axis=(1, 2), initial=0.0) <= OPERATOR_DECODE_TOL)
-          & (kept > 0).all(axis=1)
+          & (skew.max(axis=(1, 2, 3), initial=0.0) <= REPRESENTATION_TOL)
           & (np.sort(perms, axis=1) == np.arange(n)).all(axis=1))
     if not ok.all():
         t = int(np.flatnonzero(~ok)[0])
         raise ValueError(f"operator {t} is not a signed block permutation "
-                         f"with {dof}x{dof} blocks")
-    return GroupAction(group, perms, tiles[picked], points)
+                         f"with orthogonal {dof}x{dof} blocks")
+    mats = np.array([op.matrix for op in group.elements])
+    for s, ps in enumerate(perms):
+        # D(S) D(T) permutes by perms[T][ps], with blocks blocks[S] @
+        # blocks[T][ps]; it must be D(ST)
+        st = np.array([group.find_element(m) for m in mats[s] @ mats])
+        ok = ((perms[:, ps] == perms[st]).all(axis=1)
+              & (np.abs(blocks[s] @ blocks[:, ps] - blocks[st])
+                 .max(axis=(1, 2, 3), initial=0.0) <= REPRESENTATION_TOL))
+        if not ok.all():
+            t = int(np.flatnonzero(~ok)[0])
+            raise ValueError(f"operators do not represent {group.name}: "
+                             f"D({s}) D({t}) is not D({st[t]})")
+    return GroupAction(group, perms, blocks, points)
 
 
 def orbit_points(group: PointGroup, seed, tol: float = 1e-8) -> np.ndarray:
@@ -253,21 +249,14 @@ def _characters(group: PointGroup, irreps) -> np.ndarray:
 
 
 def _scatter(action: GroupAction, coeffs: np.ndarray) -> np.ndarray:
-    """sum_T coeffs[k, T] D(T) for every row k, as (rows, N, N), scattered
-    block by block in one pass over the elements."""
+    """sum_T coeffs[T] D(T) as a dense N x N matrix, scattered block by block
+    in one pass over the elements."""
     n, dof = action.perms.shape[1], action.dof
-    acc = np.zeros((len(coeffs), n, n, dof, dof))
+    acc = np.zeros((n, n, dof, dof))
     rows = np.arange(n)
     for t in range(action.group.order):
-        acc[:, rows, action.perms[t]] += coeffs[:, t, None, None, None] * action.blocks[t]
-    return acc.transpose(0, 1, 3, 2, 4).reshape(len(coeffs), n * dof, n * dof)
-
-
-def _projectors(action: GroupAction, irreps) -> dict:
-    """Character projectors (d_p/g) sum_T chi_p(T)* D(T) for `irreps`."""
-    sums = _scatter(action, _characters(action.group, irreps))
-    return {p.name: (p.dimension / action.group.order) * s
-            for p, s in zip(irreps, sums)}
+        acc[rows, action.perms[t]] += coeffs[t] * action.blocks[t]
+    return acc.transpose(0, 2, 1, 3).reshape(n * dof, n * dof)
 
 
 #: largest distance of an eigenvalue of sum_p k P_p from its irrep index k
@@ -284,7 +273,7 @@ def _adapted_basis(action: GroupAction) -> AdaptedBasis:
     dims = np.array([p.dimension for p in group.irreps], dtype=float)
     index = np.arange(1, len(group.irreps) + 1)
     row = (index * dims) @ _characters(group, group.irreps) / group.order
-    w, q = np.linalg.eigh(_scatter(action, row[None])[0])
+    w, q = np.linalg.eigh(_scatter(action, row))
     k = np.rint(w)
     if (np.abs(w - k).max(initial=0.0) > BASIS_INDEX_TOL
             or not np.isin(k, index).all()):
@@ -301,14 +290,20 @@ def _adapted_basis(action: GroupAction) -> AdaptedBasis:
 
 
 def projector(action: GroupAction, irrep_name: str) -> np.ndarray:
-    """Character projector (d_p/g) sum_T chi_p(T)* D(T)."""
+    """Character projector (d_p/g) sum_T chi_p(T)* D(T), as a dense matrix."""
     p = action.group.irrep(irrep_name)
-    return _projectors(action, [p])[p.name]
+    chars = _characters(action.group, [p])[0]
+    return (p.dimension / action.group.order) * _scatter(action, chars)
 
 
-def projectors(action: GroupAction) -> dict:
-    """Every irrep's projector, irrep name -> N x N matrix in table order."""
-    return _projectors(action, action.group.irreps)
+def irrep_weights(vectors, action: GroupAction) -> np.ndarray:
+    """|P_p v| / |v| for every irrep p (rows, table order) and column v of
+    `vectors`, read off the action's adapted basis."""
+    v = np.asarray(vectors, dtype=float)
+    norms = np.linalg.norm(v, axis=0)
+    if not norms.all():
+        raise ValueError("cannot project a zero vector")
+    return np.sqrt(action.adapted_basis.projected_norms2(v)) / norms
 
 
 @dataclass(frozen=True)
@@ -316,7 +311,6 @@ class ProjectionReport:
     """Per-irrep weights of one coefficient vector."""
 
     weights: dict            # irrep name -> |P v| / |v|
-    components: dict         # irrep name -> projected vector
     dominant: str
 
     @property
@@ -327,32 +321,18 @@ class ProjectionReport:
         return None
 
 
-def project_columns(vectors, projs: dict) -> list:
-    """Split every column of `vectors` into irrep components and weigh them.
-
-    `projs` is `projectors(action)`, built once for all columns; a tie in
-    weight goes to the irrep that comes first in it.
-    """
-    v = np.asarray(vectors, dtype=float)
-    norms = np.linalg.norm(v, axis=0)
-    if not norms.all():
-        raise ValueError("cannot project a zero vector")
-    comps = {name: p @ v for name, p in projs.items()}
-    weights = {name: np.linalg.norm(c, axis=0) / norms
-               for name, c in comps.items()}
-    reports = []
-    for k in range(v.shape[1]):
-        w = {name: float(col[k]) for name, col in weights.items()}
-        reports.append(ProjectionReport(
-            w, {name: c[:, k] for name, c in comps.items()},
-            max(w, key=w.__getitem__)))
-    return reports
+def project_columns(vectors, action: GroupAction) -> list:
+    """Weigh every column of `vectors` by irrep; a tie in weight goes to the
+    irrep that comes first in the character table."""
+    names = [p.name for p in action.group.irreps]
+    weights = irrep_weights(vectors, action).T.tolist()
+    return [ProjectionReport(w, max(w, key=w.__getitem__))
+            for w in (dict(zip(names, col)) for col in weights)]
 
 
 def project(v, action: GroupAction) -> ProjectionReport:
-    """Split a coefficient vector into irrep components and weigh them."""
-    v = np.asarray(v, dtype=float).reshape(-1, 1)
-    return project_columns(v, projectors(action))[0]
+    """Weigh one coefficient vector by irrep."""
+    return project_columns(np.reshape(v, (-1, 1)), action)[0]
 
 
 def irrep_matrix_entries(basis, action: GroupAction, element_index: int,
@@ -370,7 +350,7 @@ def irrep_matrix_entries(basis, action: GroupAction, element_index: int,
     if np.abs(gram - np.eye(basis.shape[1])).max() > 1e-8:
         raise BasisNotIsotypicError("basis columns are not orthonormal")
     names = set()
-    for k, rep in enumerate(project_columns(basis, projectors(action))):
+    for k, rep in enumerate(project_columns(basis, action)):
         if rep.classified is None:
             raise BasisNotIsotypicError(
                 f"basis column {k} is not a pure irrep function "

@@ -15,7 +15,7 @@ import numpy as np
 from .pointgroup import O3IrrepId, PointGroup, builtin_group
 from .subduction import STANDARD_CHAIN, ParityFilter, SubductionResult, \
     chain_subduce, subduce
-from .sphwave import _sample_with_poles
+from .sphwave import _sample_with_poles, check_kr
 
 MAX_DIAGRAM_ORDER = 12
 
@@ -59,7 +59,8 @@ def build_diagram(tmax: int, lo: float, hi: float, grid: int,
     """
     if not (1 <= tmax <= MAX_DIAGRAM_ORDER):
         raise ValueError(f"tmax must be in 1..{MAX_DIAGRAM_ORDER}")
-    if not (0 < lo < hi):
+    check_kr(np.array([lo, hi]))
+    if not lo < hi:
         raise ValueError("need 0 < lo < hi")
     if grid < 2:
         raise ValueError("grid must have at least two points")

@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+import numpy as np
+
 from modesub.pointgroup import PointGroup
 
 
@@ -19,3 +21,10 @@ def perturbed_character_table(group: PointGroup, irrep_name: str,
         else:
             irreps.append(p)
     return replace(group, irreps=tuple(irreps))
+
+
+def dense_operators(action) -> list:
+    """Every element's N x N matrix, in element order, built by applying the
+    action to the identity (+ 0.0 turns any -0.0 into 0.0)."""
+    eye = np.eye(action.dimension)
+    return [action.apply(t, eye) + 0.0 for t in range(action.group.order)]

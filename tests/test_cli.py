@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from modesub import fileio
 from modesub.cli import main
 from modesub.pointgroup import builtin_group
 from modesub.symaction import action_from_points, orbit_points, projector
+
+from group_helpers import dense_operators
 
 SPHERE_EXAMPLE = """\
 kR_over_pi,t,s,lambda,is_pole_adjacent
@@ -312,6 +315,48 @@ def test_malformed_action_file_is_a_data_error(capsys, tmp_path):
                        "--action", str(bad))
     assert code == 2
     assert err.startswith(f"error: {bad}: malformed action file")
+
+
+@pytest.mark.parametrize("fault", ["swapped", "negated"])
+def test_action_that_is_no_representation_is_a_data_error(capsys, tmp_path,
+                                                          fault):
+    act, _ = symmetric_problem(tmp_path)
+    ops = dense_operators(act)
+    if fault == "swapped":
+        # elements 1 and 4 lie in different classes
+        ops[1], ops[4] = ops[4], ops[1]
+    else:
+        ops = [-d for d in ops]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"group": "C_4v", "dof": 3,
+                               "operators": [d.tolist() for d in ops]}))
+    fileio.save_vectors_csv(tmp_path / "v.csv", np.ones(act.dimension))
+    for args in (["solve", "--x", str(tmp_path / "x.csv"),
+                  "--r", str(tmp_path / "r.csv"),
+                  "--out", str(tmp_path / "m.json"), "--action", str(bad)],
+                 ["classify", "--vectors", str(tmp_path / "v.csv"),
+                  "--action", str(bad)]):
+        code, out, err = run(capsys, *args)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}: operators do not represent "
+                              f"C_4v: D(")
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("flag, args", [
+    ("--kmax", ("sphere", "--tmax", "1", "--kmin", "0.5", "--kmax", "inf",
+                "--steps", "3")),
+    ("--kmin", ("sphere", "--tmax", "1", "--kmin", "nan", "--kmax", "1.0",
+                "--steps", "3")),
+    ("--kmax", ("predict", "--group", "O_h", "--tmax", "2", "--kmax", "inf")),
+    ("--kmin", ("predict", "--group", "O_h", "--tmax", "2", "--kmin=-inf")),
+])
+def test_nonfinite_k_range_is_a_data_error(capsys, flag, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be finite\n"
 
 
 def test_classify_many_vectors(capsys, tmp_path):

@@ -14,11 +14,15 @@ from modesub.cmsolver import (
 )
 from modesub.pointgroup import builtin_group
 from modesub.symaction import (
+    CLASSIFY_THRESHOLD,
     action_from_operators,
     action_from_points,
     orbit_points,
+    project_columns,
     projector,
 )
+
+from group_helpers import dense_operators
 
 
 def random_pair(rng, n, frequency=0.0):
@@ -265,7 +269,7 @@ def test_classification_matches_seed_oracle(name, dof, kind):
     pts = np.vstack([orbit_points(g, np.array(s)) for s in seeds])
     act = action_from_points(g, pts, dof=dof)
     n = act.dimension
-    ops = dict(act.operators)
+    ops = dict(enumerate(dense_operators(act)))
 
     def invariant(m):
         avg = sum(d @ m @ d.T for d in ops.values()) / len(ops)
@@ -329,7 +333,7 @@ def test_classification_matches_seed_oracle_on_any_action(
     pts = np.vstack([(k + 1.0) * orbit_points(g, np.array(ORBIT_SEEDS[o]))
                      for k, o in enumerate(orbits)])
     act = action_from_points(g, pts, dof=dof)
-    ops = dict(act.operators)
+    ops = dict(enumerate(dense_operators(act)))
     if operators_form:
         act = action_from_operators(g, list(ops.values()), dof=dof)
     n = act.dimension
@@ -402,3 +406,41 @@ def test_residual_norms_match_per_mode_loop():
             ref = seed_residual_norms(modes, pair)
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-14 * max(ref.max(), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["O_h", "O", "D_4h", "C_4v", "C_2v"]),
+       dof=st.sampled_from([1, 3]),
+       orbits=st.lists(st.sampled_from(sorted(ORBIT_SEEDS)), min_size=1,
+                       max_size=2),
+       operators_form=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_project_columns_matches_dense_projectors(name, dof, orbits,
+                                                  operators_form, seed):
+    g = builtin_group(name)
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([(k + 1.0) * orbit_points(g, np.array(ORBIT_SEEDS[o]))
+                     for k, o in enumerate(orbits)])
+    act = action_from_points(g, pts, dof=dof)
+    ops = dict(enumerate(dense_operators(act)))
+    if operators_form:
+        act = action_from_operators(g, list(ops.values()), dof=dof)
+    projs = {p.name: seed_projector(g, ops, p.name) for p in g.irreps}
+    n = act.dimension
+    # random vectors, one pure vector per nonempty irrep and a mixture
+    pure = [projs[p.name] @ rng.normal(size=n) for p in g.irreps]
+    pure = [u for u in pure if np.linalg.norm(u) > 1e-6]
+    vectors = np.column_stack([rng.normal(size=(n, 3)), *pure,
+                               pure[0] + 0.5 * pure[-1]])
+    reports = project_columns(vectors, act)
+    assert len(reports) == vectors.shape[1]
+    for k, rep in enumerate(reports):
+        weights, dominant = seed_project(vectors[:, k], g, projs)
+        assert list(rep.weights) == list(weights)
+        assert max(abs(rep.weights[p] - weights[p]) for p in weights) < 1e-12
+        classified = (dominant if weights[dominant] >= CLASSIFY_THRESHOLD
+                      else None)
+        assert rep.classified == classified
+        top = sorted(weights.values())[-2:]
+        if len(top) < 2 or top[1] - top[0] > 1e-12:
+            assert rep.dominant == dominant

@@ -114,6 +114,34 @@ def test_tiny_kr_keeps_the_small_argument_limit(t):
     assert lam[2] == eigenvalue(O3IrrepId(t, TM), 1.0)
 
 
+def test_kr_below_the_smallest_normal_float_is_rejected():
+    # scipy's spherical_jn(t >= 1, x) is NaN at subnormal x; the sphere
+    # layer must refuse such kR rather than return NaN
+    tiny = np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1, 12):
+            assert eigenvalue(O3IrrepId(t, TM), tiny) == -math.inf
+            assert eigenvalue(O3IrrepId(t, TE), tiny) == math.inf
+            assert eigenvalue(O3IrrepId(t, TM), 1e-300) == -math.inf
+        lam, _ = sample_trace(O3IrrepId(1, TE), np.array([tiny, 1e-300, 1.0]))
+        assert lam[:2].tolist() == [math.inf, math.inf]
+        for bad in (np.nextafter(tiny, 0.0), 1e-310, 5e-324, 0.0, -1.0,
+                    math.nan, math.inf):
+            with pytest.raises(ValueError, match="kR must be positive"):
+                eigenvalue(O3IrrepId(1, TE), bad)
+            with pytest.raises(ValueError, match="kR must be positive"):
+                spherical_bessel("j", 1, bad)
+        for grid in ([1e-310, 0.5, 1.0], [0.5, math.nan, 1.0],
+                     [0.5, 1.0, math.inf]):
+            with pytest.raises(ValueError, match="kR must be positive"):
+                sample_trace(O3IrrepId(1, TE), np.array(grid))
+        with pytest.raises(ValueError, match="kR must be positive"):
+            poles(O3IrrepId(1, TE), 1e-310, 1.0)
+        with pytest.raises(ValueError, match="kR must be positive"):
+            poles(O3IrrepId(1, TE), 1.0, math.inf)
+
+
 def test_exact_pole_gives_signed_infinity():
     wave = O3IrrepId(1, TE)
     found = poles(wave, 0.5, 5.0)[0]

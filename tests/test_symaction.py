@@ -21,8 +21,9 @@ from modesub.symaction import (
     plane_operator,
     project,
     projector,
-    projectors,
 )
+
+from group_helpers import dense_operators
 
 GROUPS = ("O_h", "O", "D_4h", "C_4v", "C_2v")
 
@@ -50,14 +51,15 @@ def test_operators_are_orthogonal_homomorphisms():
     for name in GROUPS:
         g, act = make_action(name)
         n = act.dimension
+        ops = dense_operators(act)
         for i in range(g.order):
-            D = act.operators[i]
+            D = ops[i]
             assert np.abs(D.T @ D - np.eye(n)).max() < 1e-10
         for _ in range(20):
             i, j = rng.integers(0, g.order, 2)
             k = g.find_element(g.elements[i].matrix @ g.elements[j].matrix)
-            lhs = act.operators[i] @ act.operators[j]
-            assert np.abs(lhs - act.operators[k]).max() < 1e-10
+            lhs = ops[i] @ ops[j]
+            assert np.abs(lhs - ops[k]).max() < 1e-10
 
 
 def test_asymmetric_points_rejected_with_offenders():
@@ -94,7 +96,7 @@ def test_scalar_dof_action():
     g, act = make_action("C_4v", dof=1)
     assert act.dimension == g.order
     # scalar action: every operator is a permutation matrix
-    for D in act.operators.values():
+    for D in dense_operators(act):
         assert set(np.unique(D)) <= {0.0, 1.0}
         assert (D.sum(axis=0) == 1).all() and (D.sum(axis=1) == 1).all()
 
@@ -147,7 +149,7 @@ def test_plane_operator_member_plane():
     S = plane_operator(act)          # z-mirror is a group member here
     idx = g.find_element(np.diag([1.0, 1.0, -1.0]))
     assert idx is not None
-    assert np.abs(S - act.operators[idx]).max() < 1e-12
+    assert np.abs(S - dense_operators(act)[idx]).max() < 1e-12
 
 
 def test_irrep_matrix_entries_consistency():
@@ -157,9 +159,10 @@ def test_irrep_matrix_entries_consistency():
     rng = np.random.default_rng(4)
     rho = g.irrep("E").matrices
     u = rng.normal(size=act.dimension)
+    ops = dense_operators(act)
     cols = []
     for mu in range(2):
-        P = sum(rho[i][mu, 0] * act.operators[i] for i in range(g.order))
+        P = sum(rho[i][mu, 0] * ops[i] for i in range(g.order))
         cols.append((2.0 / g.order) * (P @ u))
     basis = np.stack(cols, axis=1)
     basis /= np.linalg.norm(basis[:, 0])
@@ -236,10 +239,11 @@ def test_block_action_matches_dense_oracle(name, dof, data):
     pts = draw_points(data, g)
     act = action_from_points(g, pts, dof=dof)
     v = np.random.default_rng(0).normal(size=(act.dimension, 2))
+    ops = dense_operators(act)
     for t, op in enumerate(g.elements):
         dense, misses = seed_operator_for(pts, op.matrix, dof, 1e-8)
         assert misses == []
-        assert np.array_equal(act.operators[t], dense)
+        assert np.array_equal(ops[t], dense)
         assert np.allclose(act.apply(t, v), dense @ v, rtol=0, atol=1e-12)
 
 
@@ -281,25 +285,24 @@ def test_operators_decode_signed_block_permutations():
     g, act = make_action("C_4v", dof=1)
     # an RWG-style basis flips the sign of some unknowns
     flip = np.where(np.arange(act.dimension) % 3 == 0, -1.0, 1.0)
-    ops = [flip[:, None] * act.operators[t] * flip[None, :]
-           for t in range(g.order)]
+    ops = [flip[:, None] * d * flip[None, :] for d in dense_operators(act)]
     back = action_from_operators(g, ops)
-    for t in range(g.order):
-        assert np.array_equal(back.operators[t], ops[t])
-    projs = projectors(back)
-    assert np.abs(sum(projs.values()) - np.eye(act.dimension)).max() < 1e-12
+    for t, d in enumerate(dense_operators(back)):
+        assert np.array_equal(d, ops[t])
+    total = sum(projector(back, p.name) for p in g.irreps)
+    assert np.abs(total - np.eye(act.dimension)).max() < 1e-12
     # a dof = 3 action decodes at either block size
     _, act3 = make_action("C_4v")
-    ops3 = [act3.operators[t] for t in range(g.order)]
+    ops3 = dense_operators(act3)
     for dof in (1, 3):
         back = action_from_operators(g, ops3, dof)
-        assert all(np.array_equal(back.operators[t], ops3[t])
-                   for t in range(g.order))
+        assert all(np.array_equal(d, ops3[t])
+                   for t, d in enumerate(dense_operators(back)))
 
 
 def test_operators_that_are_not_block_monomial_rejected():
     g, act = make_action("C_4v", dof=1)
-    ops = [act.operators[t] for t in range(g.order)]
+    ops = dense_operators(act)
     mixed = [m.copy() for m in ops]
     mixed[3][0, :] = mixed[3][0, :] + mixed[3][1, :]    # two nonzeros in a row
     with pytest.raises(ValueError, match="operator 3 is not"):
@@ -314,6 +317,32 @@ def test_operators_that_are_not_block_monomial_rejected():
         action_from_operators(g, noisy)
     with pytest.raises(ValueError, match="not a multiple of dof 3"):
         action_from_operators(g, [m[:7, :7] for m in ops], 3)
+
+
+@pytest.mark.parametrize("dof", [1, 3])
+def test_operators_that_are_no_representation_rejected(dof):
+    g, act = make_action("C_4v", dof=dof)
+    ops = dense_operators(act)
+    assert np.array_equal(action_from_operators(g, ops, dof).perms, act.perms)
+    swapped = list(ops)
+    swapped[1], swapped[4] = ops[4], ops[1]
+    with pytest.raises(ValueError, match="operators do not represent C_4v: "
+                                         "D\\(1\\) D\\(1\\) is not D\\(3\\)"):
+        action_from_operators(g, swapped, dof)
+    with pytest.raises(ValueError, match="operators do not represent C_4v: "
+                                         "D\\(0\\) D\\(0\\) is not D\\(0\\)"):
+        action_from_operators(g, [-d for d in ops], dof)
+    # one point's block negated in one element: still orthogonal, but no
+    # longer a homomorphism
+    flipped = [d.copy() for d in ops]
+    flipped[2][:dof] *= -1.0
+    with pytest.raises(ValueError, match="operators do not represent C_4v"):
+        action_from_operators(g, flipped, dof)
+    scaled = [d.copy() for d in ops]
+    scaled[5][:dof] *= 2.0
+    with pytest.raises(ValueError, match="operator 5 is not a signed block "
+                                         "permutation with orthogonal"):
+        action_from_operators(g, scaled, dof)
 
 
 @settings(max_examples=40, deadline=None)
@@ -370,10 +399,10 @@ def test_adapted_basis_built_once_per_action(monkeypatch, tmp_path):
 
 def test_adapted_basis_rejects_an_action_that_is_no_representation():
     g, act = make_action("C_4v", dof=1)
-    ops = [act.operators[t] for t in range(g.order)]
-    # elements 1 and 4 lie in different classes
-    ops[1], ops[4] = ops[4], ops[1]
-    bad = action_from_operators(g, ops)
+    # elements 1 and 4 lie in different classes; action_from_operators
+    # would reject the swap, so the action is built directly
+    sw = [0, 4, 2, 3, 1, *range(5, g.order)]
+    bad = GroupAction(g, act.perms[sw], act.blocks[sw])
     with pytest.raises(RuntimeError, match="do not split this action"):
         bad.adapted_basis
     flipped = GroupAction(g, act.perms, -act.blocks)
