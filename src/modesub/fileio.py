@@ -173,22 +173,44 @@ def _json_floats(vals: list, depth: int) -> str:
 
 
 def load_modes_json(path) -> Snapshot:
+    """Read a modes.json: `lambdas` a list of numbers, `frequency` a number,
+    and optionally `vectors`, a 2-D list with one row per eigenvalue, and
+    `labels`."""
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        lam = np.array([float(x) for x in doc["lambdas"]])
+        lam = _lambdas(doc["lambdas"])
         freq = float(doc["frequency"])
+        vectors = doc.get("vectors")
+        if vectors is not None:
+            vectors = _mode_vectors(vectors, len(lam)).T
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a mode-set file ({exc})") from None
-    vectors = doc.get("vectors")
-    if vectors is not None:
-        vectors = np.array(vectors, dtype=float).T
-        if vectors.shape[1] != len(lam):
-            raise ValueError(f"{path}: vector row count != eigenvalue count")
     labels = doc.get("labels")
     if labels is not None:
         labels = tuple(str(x) for x in labels)
     return Snapshot(freq, lam, vectors, labels)
+
+
+def _lambdas(vals) -> np.ndarray:
+    """`lambdas`, a JSON list of numbers, as a float array."""
+    if not isinstance(vals, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            for x in vals):
+        raise ValueError("lambdas must be a list of numbers")
+    return np.array(vals, dtype=float)
+
+
+def _mode_vectors(rows, count: int) -> np.ndarray:
+    """`vectors`, a JSON list of `count` equal-length rows, as a 2-D array."""
+    try:
+        v = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.ndim != 2 or len(v) != count:
+        raise ValueError(f"vectors must be a 2-D list of {count} rows, one "
+                         f"per eigenvalue")
+    return v
 
 
 def load_snapshot_dir(directory) -> list:

@@ -8,6 +8,10 @@ orthonormal symmetry-adapted basis, built on first use, whose column blocks
 span the irreps' subspaces; every irrep weight, of a mode or of a user
 vector, is read off it.  `projector` keeps the character formula as the
 reference the basis is checked against.
+
+Points are matched to their images by a sorted-key pair search in numpy
+(`_pairs_within`), so this module, like `cmsolver` on top of it, loads no
+scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .pointgroup import PLANE_Z, PointGroup, operation_from_matrix
 
@@ -133,11 +136,48 @@ def _dense(perm, blocks) -> np.ndarray:
     return out.transpose(0, 2, 1, 3).reshape(n * dof, n * dof)
 
 
+#: sort key direction of the pair search; its components are rationally
+#: independent, so points that share coordinates, as on a grid, or that lie
+#: on a mirror plane or axis still get distinct keys
+_KEY_DIRECTION = np.array([1.0, 0.7548776662466927, 0.5698402909980532])
+
+
+def _pairs_within(a: np.ndarray, b: np.ndarray, tol: float):
+    """Every (i, j) with |a[i] - b[j]|_max <= tol, as two index arrays with
+    i ascending.
+
+    b is sorted by its key k = b @ u.  |u . d| <= |u|_1 |d|_max, so b[j] can
+    only match a[i] within the window |k - a[i] @ u| <= |u|_1 tol, widened
+    here for rounding; the exact max-norm test then decides.  The work is
+    linear in the number of points plus the candidates in the windows, which
+    grows quadratically only when many points share one window.
+    """
+    u = _KEY_DIRECTION
+    norm1 = np.abs(u).sum()
+    kb = b @ u
+    order = np.argsort(kb, kind="stable")
+    keys, ka = kb[order], a @ u
+    # a key is off by a few ulps of |u|_1 max|x| at most
+    scale = norm1 * max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    half = norm1 * tol * (1 + 1e-9) + 16 * np.spacing(scale)
+    lo = np.searchsorted(keys, ka - half, side="left")
+    counts = np.maximum(np.searchsorted(keys, ka + half, side="right") - lo, 0)
+    starts = np.cumsum(counts) - counts
+    i = np.repeat(np.arange(len(a)), counts)
+    j = order[np.repeat(lo - starts, counts) + np.arange(counts.sum())]
+    hit = np.abs(a[i] - b[j]).max(axis=1) <= tol
+    return i[hit], j[hit]
+
+
 def _permutation(points: np.ndarray, matrix: np.ndarray, tol: float):
     """perm[i] = the lowest j with |matrix @ points[j] - points[i]|_max <= tol,
     or -1 where there is none."""
-    hits = cKDTree(points @ matrix.T).query_ball_point(points, r=tol, p=np.inf)
-    return np.array([min(h) if h else -1 for h in hits], dtype=np.intp)
+    n = len(points)
+    i, j = _pairs_within(points, points @ matrix.T, tol)
+    perm = np.full(n, n, dtype=np.intp)
+    np.minimum.at(perm, i, j)
+    perm[perm == n] = -1
+    return perm
 
 
 def _induced(points: np.ndarray, matrix: np.ndarray, dof: int, tol: float):
@@ -168,10 +208,12 @@ def action_from_points(group: PointGroup, points, dof: int = 3,
         raise ValueError("points must be an (N, 3) array")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    pairs = cKDTree(pts).query_pairs(tol, p=np.inf)
-    if pairs:
-        i, j = min(pairs)
-        raise ValueError(f"points {i} and {j} coincide within {tol}")
+    i, j = _pairs_within(pts, pts, tol)
+    later = i < j
+    if later.any():
+        i, j = i[later], j[later]
+        raise ValueError(f"points {i[0]} and {j[i == i[0]].min()} coincide "
+                         f"within {tol}")
     induced = [_induced(pts, op.matrix, dof, tol) for op in group.elements]
     misses = [(t, int(i)) for t, (perm, _) in enumerate(induced)
               for i in np.flatnonzero(perm < 0)]
@@ -300,6 +342,10 @@ def irrep_weights(vectors, action: GroupAction) -> np.ndarray:
     """|P_p v| / |v| for every irrep p (rows, table order) and column v of
     `vectors`, read off the action's adapted basis."""
     v = np.asarray(vectors, dtype=float)
+    if v.shape[0] != action.dimension:
+        raise ValueError(f"vectors have {v.shape[0]} rows, but the "
+                         f"{action.group.name} action has dimension "
+                         f"{action.dimension}")
     norms = np.linalg.norm(v, axis=0)
     if not norms.all():
         raise ValueError("cannot project a zero vector")

@@ -6,6 +6,10 @@ restricted to equal irrep labels when labels are present.  A postprocessing
 pass reorders same-irrep traces by eigenvalue at every frequency, which is
 the von Neumann-Wigner constraint: equal-irrep traces avoid, they do not
 cross.
+
+Only `track` needs scipy (`scipy.optimize`), and it imports it when called,
+so importing this module, or `fileio`, which reads snapshots into its
+types, loads no scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 #: |lambda| jump across one step treated as passing through a pole
 DEFAULT_JUMP_THRESHOLD = 1e3
@@ -111,6 +114,9 @@ def track(snapshots, options: TrackOptions | None = None) -> list:
     matched counts differ.  A single snapshot degenerates to one single-point
     trace per mode.
     """
+    # loaded here, so that importing tracker (and fileio) loads no scipy
+    from scipy.optimize import linear_sum_assignment
+
     options = options or TrackOptions()
     snaps = sorted(snapshots, key=lambda s: s.frequency)
     if not snaps:

@@ -279,6 +279,36 @@ def test_thread_env_defaulting():
     assert res.stdout.splitlines()[-1] == "RESULT 0 7 3"
 
 
+def test_solve_and_classify_load_no_scipy():
+    # a fresh interpreter, as every command runs in: the solve and classify
+    # path must not pay for scipy; only tracking imports scipy.optimize
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from modesub import cmsolver, fileio, symaction, tracker\n"
+        "from modesub.pointgroup import builtin_group\n"
+        "g = builtin_group('O_h')\n"
+        "act = symaction.action_from_points(\n"
+        "    g, symaction.orbit_points(g, np.array([1.0, 0.6, 0.3])))\n"
+        "a = np.random.default_rng(0).normal(size=(act.dimension,) * 2)\n"
+        "x = sum(act.apply(t, act.apply(t, a + a.T).T).T\n"
+        "        for t in range(g.order))\n"
+        "modes = cmsolver.solve_cm(cmsolver.ImpedancePair(\n"
+        "    (x + x.T) / 2, np.eye(act.dimension)))\n"
+        "labels = cmsolver.classify_modes(modes, act).labels\n"
+        "print('SCIPY', sorted(m for m in sys.modules\n"
+        "                      if m.partition('.')[0] == 'scipy'))\n"
+        "tracker.track([tracker.Snapshot(1.0, modes.eigenvalues,\n"
+        "                                modes.eigencurrents, labels)])\n"
+        "print('OPTIMIZE', 'scipy.optimize' in sys.modules)\n"
+    )
+    pkg_root = os.path.dirname(os.path.dirname(modesub.__file__))
+    env = dict(os.environ, PYTHONPATH=pkg_root)
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines()[-2:] == ["SCIPY []", "OPTIMIZE True"]
+
+
 def test_console_script_installed():
     exe = shutil.which("modesub")
     assert exe, "console script missing; install with pip install -e ."
@@ -357,6 +387,40 @@ def test_nonfinite_k_range_is_a_data_error(capsys, flag, args):
         code, out, err = run(capsys, *args)
     assert code == 2 and out == ""
     assert err == f"error: {flag} must be finite\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("vectors", [1.0, 2.0]),
+    ("vectors", [[1.0, 0.0], [3.0]]),
+    ("lambdas", "12"),
+])
+def test_malformed_snapshot_is_a_data_error(capsys, tmp_path, key, value):
+    snapdir = tmp_path / "snaps"
+    snapdir.mkdir()
+    doc = {"frequency": 1.0, "lambdas": [1.0, 2.0],
+           "vectors": [[1.0, 0.0], [0.0, 1.0]]}
+    doc[key] = value
+    (snapdir / "s0.json").write_text(json.dumps(doc))
+    out_path = tmp_path / "traces.json"
+    code, out, err = run(capsys, "track", "--snapshots", str(snapdir),
+                         "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {snapdir / 's0.json'}: not a mode-set "
+                          f"file (")
+    assert not out_path.exists()
+
+
+def test_classify_rejects_vectors_of_another_dimension(capsys, tmp_path):
+    g = builtin_group("O_h")
+    pts = orbit_points(g, np.array([1.0, 0.6, 0.3]))
+    (tmp_path / "action.json").write_text(json.dumps(
+        {"group": "O_h", "points": pts.tolist(), "dof": 3}))
+    fileio.save_vectors_csv(tmp_path / "v.csv", np.ones((5, 2)))
+    code, out, err = run(capsys, "classify", "--vectors", str(tmp_path / "v.csv"),
+                         "--action", str(tmp_path / "action.json"))
+    assert code == 2 and out == ""
+    assert err == ("error: vectors have 5 rows, but the O_h action has "
+                   "dimension 144\n")
 
 
 def test_classify_many_vectors(capsys, tmp_path):

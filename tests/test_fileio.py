@@ -106,6 +106,28 @@ def test_modes_json_rejects_other_documents(tmp_path):
         fileio.load_modes_json(p)
 
 
+@pytest.mark.parametrize("key, value, reason", [
+    ("vectors", [1.0, 2.0], "vectors must be a 2-D list of 2 rows"),
+    ("vectors", [[1.0, 0.0], [3.0]], "vectors must be a 2-D list of 2 rows"),
+    ("vectors", [[1.0, 0.0]], "vectors must be a 2-D list of 2 rows"),
+    ("vectors", "12", "vectors must be a 2-D list of 2 rows"),
+    ("lambdas", "12", "lambdas must be a list of numbers"),
+    ("lambdas", [1.0, "2"], "lambdas must be a list of numbers"),
+    ("lambdas", [True, 2.0], "lambdas must be a list of numbers"),
+    ("lambdas", [[1.0], [2.0]], "lambdas must be a list of numbers"),
+])
+def test_modes_json_rejects_malformed_mode_sets(tmp_path, key, value,
+                                                reason):
+    doc = {"frequency": 1.0, "lambdas": [1.0, 2.0],
+           "vectors": [[1.0, 0.0], [0.0, 1.0]]}
+    doc[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        fileio.load_modes_json(p)
+    assert str(exc.value).startswith(f"{p}: not a mode-set file ({reason}")
+
+
 def test_snapshot_dir_sorted_by_frequency(tmp_path):
     rng = np.random.default_rng(4)
     # filenames deliberately out of order with the frequencies

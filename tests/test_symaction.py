@@ -12,6 +12,7 @@ from modesub.symaction import (
     BasisNotIsotypicError,
     GroupAction,
     PointSetNotSymmetricError,
+    _pairs_within,
     _permutation,
     action_from_operators,
     action_from_points,
@@ -221,11 +222,21 @@ def seed_operator_for(points, matrix, dof, tol):
 
 coordinate = st.floats(0.05, 1.5, allow_nan=False)
 
+# orbit seeds off every symmetry element, on a mirror plane (z = 0 or
+# x = y) and on an axis; the last three give short orbits
+SEED_LAYOUTS = {
+    "generic": lambda x, y, z: (x, y, z),
+    "plane": lambda x, y, z: (x, y, 0.0),
+    "diagonal plane": lambda x, y, z: (x, x, z),
+    "axis": lambda x, y, z: (0.0, 0.0, z),
+}
 
-def draw_points(data, g):
+
+def draw_points(data, g, layout="generic"):
     seeds = data.draw(st.lists(st.tuples(coordinate, coordinate, coordinate),
                                min_size=1, max_size=2))
-    pts = np.vstack([orbit_points(g, np.array(s)) for s in seeds])
+    pts = np.vstack([orbit_points(g, np.array(SEED_LAYOUTS[layout](*s)))
+                     for s in seeds])
     gaps = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
     assume(gaps[np.triu_indices(len(pts), 1)].min(initial=1.0) > 1e-3)
     return pts
@@ -247,20 +258,99 @@ def test_block_action_matches_dense_oracle(name, dof, data):
         assert np.allclose(act.apply(t, v), dense @ v, rtol=0, atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(GROUPS), data=st.data())
-def test_permutation_search_matches_loop(name, data):
+def cube_surface(m):
+    """Grid points on the surface of [-1, 1]^3, m to an edge; many share a
+    coordinate, and for m = 2^k + 1 every coordinate is dyadic."""
+    c = np.linspace(-1.0, 1.0, m)
+    grid = np.stack(np.meshgrid(c, c, c, indexing="ij"), axis=-1)
+    grid = grid.reshape(-1, 3)
+    return grid[(np.abs(grid) == 1.0).any(axis=1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(GROUPS),
+       layout=st.sampled_from(sorted(SEED_LAYOUTS) + ["cube surface"]),
+       jitter=st.sampled_from(["none", "uniform", "+-0.3 tol"]),
+       data=st.data())
+def test_permutation_search_matches_loop(name, layout, jitter, data):
     g = builtin_group(name)
-    pts = draw_points(data, g)
+    if layout == "cube surface":
+        pts = cube_surface(data.draw(st.integers(2, 7)))
+    else:
+        pts = draw_points(data, g, layout)
     tol = 1e-8
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    pts = pts + rng.uniform(-0.3 * tol, 0.3 * tol, size=pts.shape)
+    if jitter == "uniform":
+        pts = pts + rng.uniform(-0.3 * tol, 0.3 * tol, size=pts.shape)
+    elif jitter == "+-0.3 tol":
+        pts = pts + rng.choice([-0.3 * tol, 0.3 * tol], size=pts.shape)
     moved = data.draw(st.lists(st.integers(0, len(pts) - 1), max_size=3))
     pts[moved] += 5 * tol                 # these lose their partners
     matrix = g.elements[data.draw(st.integers(0, g.order - 1))].matrix
     expected = [-1 if j is None else j
                 for j in seed_permutation(pts, matrix, tol)]
     assert _permutation(pts, matrix, tol).tolist() == expected
+
+
+# every sign pattern of a move by exactly tol along one, two or three axes
+EXACT_MOVES = [np.array(s, dtype=float)
+               for s in np.ndindex(3, 3, 3) if s != (1, 1, 1)]
+
+
+def test_pair_search_keeps_pairs_exactly_at_the_tolerance():
+    # dyadic points and tol, so every move and difference is exact: the
+    # moved partners lie at max-norm distance tol, on the sort key's window
+    # edge when the move is along all three axes
+    tol = 2.0 ** -27
+    pts = cube_surface(9)
+    for step in EXACT_MOVES:
+        moved = pts + (step - 1.0) * tol
+        i, j = _pairs_within(pts, moved, tol)
+        assert (np.diff(i) >= 0).all()
+        brute = np.argwhere(np.abs(pts[:, None] - moved[None]).max(axis=2)
+                            <= tol)
+        got = np.stack([i, j], axis=1)
+        assert np.array_equal(got[np.lexsort((j, i))], brute)
+        assert len(brute) >= len(pts)
+    g = builtin_group("O_h")
+    pts = cube_surface(5)
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        shifted = pts + (EXACT_MOVES[rng.integers(len(EXACT_MOVES))]
+                         - 1.0) * tol * rng.integers(0, 2, size=(len(pts), 1))
+        for op in g.elements[::3]:
+            expected = [-1 if j is None else j
+                        for j in seed_permutation(shifted, op.matrix, tol)]
+            assert _permutation(shifted, op.matrix, tol).tolist() == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(GROUPS), data=st.data())
+def test_coincident_point_error_names_the_first_pair(name, data):
+    g = builtin_group(name)
+    tol = 1e-8
+    pts = draw_points(data, g)
+    # near copies of drawn points, some within tol and some beyond it
+    offsets = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    copies = data.draw(st.lists(
+        st.tuples(st.integers(0, len(pts) - 1), offsets, offsets, offsets),
+        max_size=4))
+    extra = [pts[k] + tol * np.array(d) for k, *d in copies]
+    pts = np.vstack([pts] + extra)
+    pts = pts[data.draw(st.permutations(range(len(pts))))]
+    first = next(((i, j) for i in range(len(pts))
+                  for j in range(i + 1, len(pts))
+                  if np.abs(pts[i] - pts[j]).max() <= tol), None)
+    if first is None:
+        try:
+            action_from_points(g, pts)
+        except PointSetNotSymmetricError:
+            pass
+    else:
+        with pytest.raises(ValueError) as exc:
+            action_from_points(g, pts)
+        i, j = first
+        assert str(exc.value) == f"points {i} and {j} coincide within {tol}"
 
 
 def test_coincident_points_rejected():
