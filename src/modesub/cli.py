@@ -100,11 +100,7 @@ def cmd_subduce(args) -> int:
     res = subduce(parent, child, parent_group=parent_group,
                   parity=_parity_filter(args.parity))
     if args.json:
-        print(json.dumps({
-            "parent": str(res.parent),
-            "child_group": res.child_group,
-            "entries": {n: str(m) for n, m in res.entries},
-        }, indent=1))
+        print(json.dumps(res.to_json(), indent=1))
     else:
         print(str(res))
     return 0
@@ -121,11 +117,7 @@ def cmd_chain(args) -> int:
                             parity=_parity_filter(args.parity),
                             parity_stage=args.parity_stage)
     if args.json:
-        print(json.dumps([{
-            "parent": str(r.parent),
-            "child_group": r.child_group,
-            "entries": {n: str(m) for n, m in r.entries},
-        } for r in results], indent=1))
+        print(json.dumps([r.to_json() for r in results], indent=1))
     else:
         for r in results:
             print(f"{r.child_group}: {r}")

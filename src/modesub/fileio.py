@@ -9,6 +9,7 @@ and tracked traces travel as JSON.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import re
 import struct
@@ -174,43 +175,51 @@ def _json_floats(vals: list, depth: int) -> str:
 
 def load_modes_json(path) -> Snapshot:
     """Read a modes.json: `lambdas` a list of numbers, `frequency` a number,
-    and optionally `vectors`, a 2-D list with one row per eigenvalue, and
-    `labels`."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    and optionally `vectors`, a 2-D list of numbers with one row per
+    eigenvalue, and `labels`.  Booleans and nulls are no numbers.  A set of
+    no modes loads without vectors: its empty `vectors` has no row length."""
+    text = Path(path).read_text()
+    doc = json.loads(text)
     try:
-        lam = _lambdas(doc["lambdas"])
-        freq = float(doc["frequency"])
+        lam = _numbers(doc["lambdas"], 1, text,
+                       "lambdas must be a list of numbers")
+        freq = doc["frequency"]
+        if isinstance(freq, bool) or not isinstance(freq, (int, float)):
+            raise ValueError("frequency must be a number")
         vectors = doc.get("vectors")
-        if vectors is not None:
-            vectors = _mode_vectors(vectors, len(lam)).T
+        if vectors == [] and not len(lam):
+            vectors = None
+        elif vectors is not None:
+            rows = (f"vectors must be a 2-D list of {len(lam)} rows, one per "
+                    f"eigenvalue")
+            vectors = _numbers(vectors, 2, text, rows).T
+            if vectors.shape[1] != len(lam):
+                raise ValueError(rows)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a mode-set file ({exc})") from None
     labels = doc.get("labels")
     if labels is not None:
         labels = tuple(str(x) for x in labels)
-    return Snapshot(freq, lam, vectors, labels)
+    return Snapshot(float(freq), lam, vectors, labels)
 
 
-def _lambdas(vals) -> np.ndarray:
-    """`lambdas`, a JSON list of numbers, as a float array."""
-    if not isinstance(vals, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            for x in vals):
-        raise ValueError("lambdas must be a list of numbers")
-    return np.array(vals, dtype=float)
-
-
-def _mode_vectors(rows, count: int) -> np.ndarray:
-    """`vectors`, a JSON list of `count` equal-length rows, as a 2-D array."""
+def _numbers(vals, ndim: int, text: str, error: str) -> np.ndarray:
+    """A JSON list of numbers (ndim 1), or of equal-length rows of numbers
+    (ndim 2), parsed from the JSON `text`, as a float array;
+    ValueError(error) for anything else."""
     try:
-        v = np.array(rows, dtype=float)
-    except (TypeError, ValueError):
-        v = None
-    if v is None or v.ndim != 2 or len(v) != count:
-        raise ValueError(f"vectors must be a 2-D list of {count} rows, one "
-                         f"per eigenvalue")
-    return v
+        a = np.array(vals)
+    except ValueError:      # ragged rows
+        raise ValueError(error) from None
+    if a.ndim != ndim or a.dtype.kind not in "iuf":
+        raise ValueError(error)
+    # a boolean reads as 0 or 1, and JSON spells one only as true or false;
+    # only then are the entries checked one by one
+    flat = vals if ndim == 1 else itertools.chain.from_iterable(vals)
+    if (((a == 0) | (a == 1)).any() and ("true" in text or "false" in text)
+            and any(isinstance(x, bool) for x in flat)):
+        raise ValueError(error)
+    return a.astype(float, copy=False)
 
 
 def load_snapshot_dir(directory) -> list:
@@ -224,35 +233,43 @@ def load_snapshot_dir(directory) -> list:
 
 
 def save_traces_json(path, traces, avoidances=()) -> None:
-    doc = {
-        "traces": [
-            {
-                "id": tr.id,
-                "irrep": tr.irrep,
-                "points": [
-                    {"frequency": p.frequency, "lambda": p.lam,
-                     "mode_index": p.mode_index}
-                    for p in tr.points
-                ],
-                "events": tr.events,
-            }
-            for tr in traces
-        ],
-        "avoidances": [
-            {
-                "lower_id": s.lower_id,
-                "upper_id": s.upper_id,
-                "irrep": s.irrep,
-                "frequency": s.frequency,
-                "gap": s.gap,
-                "kind": s.kind,
-            }
-            for s in avoidances
-        ],
-    }
+    """Write {"traces": [...], "avoidances": [...]} as json.dump(doc, fh,
+    indent=1) and a newline would; the points and avoidances, most of the
+    file, go through json's C encoder (see _records)."""
+    body = ",".join(
+        '\n  {\n   "id": ' + json.dumps(tr.id) + ',\n   "irrep": '
+        + json.dumps(tr.irrep) + ',\n   "points": '
+        + _records([{"frequency": p.frequency, "lambda": p.lam,
+                     "mode_index": p.mode_index} for p in tr.points], 3)
+        + ',\n   "events": '
+        + json.dumps(tr.events, indent=1).replace("\n", "\n   ") + "\n  }"
+        for tr in traces)
+    avoid = _records([{"lower_id": s.lower_id, "upper_id": s.upper_id,
+                       "irrep": s.irrep, "frequency": s.frequency,
+                       "gap": s.gap, "kind": s.kind} for s in avoidances], 1)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write('{\n "traces": [' + body + ("\n ]" if body else "]")
+                 + ',\n "avoidances": ' + avoid + "\n}\n")
+
+
+def _records(rows: list, depth: int) -> str:
+    """json.dumps(rows, indent=1) laid out at nesting depth `depth`, for a
+    list of non-empty dicts of scalars.
+
+    json.dumps with an indent runs json's pure-Python encoder.  Without one
+    it runs the C encoder, whose item separator here is the line break and
+    indent of a field; the seams between dicts are then re-indented.  A
+    JSON string holds no raw line break, so no seam is inside a value.
+    """
+    if not rows:
+        return "[]"
+    field = "\n" + " " * (depth + 2)
+    text = json.dumps(rows, separators=("," + field, ": "))
+    row = "\n" + " " * (depth + 1)
+    return ("[" + row + "{" + field
+            + text[2:-2].replace("}," + field + "{",
+                                 row + "}," + row + "{" + field)
+            + row + "}\n" + " " * depth + "]")
 
 
 def load_traces_json(path):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -124,23 +124,27 @@ def _axis_kind(op: SymmetryOperation) -> str:
     return "other"
 
 
-def _element_key(matrix) -> tuple | None:
-    """Hash key of a 3x3 matrix whose entries are integers within MATCH_TOL.
-
-    Every built-in operation is a signed permutation, so two matrices match
-    within MATCH_TOL exactly when their keys (the rounded entries) are
-    equal.  Anything else, including a non-finite entry, has no key (None).
+def _element_codes(mats) -> np.ndarray:
+    """Codes of a stack (..., 3, 3) of matrices.  Every built-in operation
+    is a signed permutation: a matrix whose entries all lie within MATCH_TOL
+    of -1, 0 or 1 gets the code sum_k (e_k + 1) 3^k of its rounded entries
+    e_k, in [0, 3**9), so two such matrices match within MATCH_TOL exactly
+    when their codes are equal.  Any other matrix, non-finite too, gets -1.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (3, 3):
-        return None
-    flat = m.ravel().tolist()
-    if not all(map(math.isfinite, flat)):
-        return None
-    key = tuple(map(round, flat))
-    if max(abs(x - k) for x, k in zip(flat, key)) > MATCH_TOL:
-        return None
-    return key
+    m = np.asarray(mats, dtype=float)
+    k = np.clip(np.rint(m), -1.0, 1.0)
+    ok = (np.abs(m - k) <= MATCH_TOL).all(axis=(-2, -1))
+    codes = (k + 1.0).reshape(*m.shape[:-2], 9) @ 3.0 ** np.arange(9)
+    return np.where(ok, codes, -1.0).astype(np.intp)
+
+
+def _lookup(codes) -> np.ndarray:
+    """Code -> index of its first occurrence in `codes`, else -1.  The extra
+    last slot stays -1, so the code -1 looks up -1."""
+    index = np.full(3 ** 9 + 1, -1, dtype=np.intp)
+    _, first = np.unique(codes, return_index=True)
+    index[codes[first]] = first
+    return index
 
 
 class UnknownIrrepError(KeyError, ValueError):
@@ -165,7 +169,7 @@ class Irrep:
     dimension: int
     parity: str | None    # "g", "u" or None for groups without inversion
     characters: tuple     # one integer per conjugacy class, in table order
-    matrices: dict | None = None   # element index -> (d x d) orthogonal matrix
+    matrices: np.ndarray | None = None   # (order, d, d) orthogonal, element order
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,16 +180,27 @@ class PointGroup:
     classes: tuple             # ConjugacyClass, in encoded table order
     irreps: tuple              # Irrep, in encoded table order
     class_of_element: tuple    # element index -> class index
-    _index: dict = field(init=False, repr=False)   # element key -> index
+    _index: np.ndarray = field(init=False, repr=False)   # see _lookup
 
     def __post_init__(self):
-        index = {}
-        for i, op in enumerate(self.elements):
-            key = _element_key(op.matrix)
-            if key is None:
-                raise ValueError(f"{self.name}: element {i} is not an integer matrix")
-            index.setdefault(key, i)
-        object.__setattr__(self, "_index", index)
+        codes = _element_codes(self.element_matrices())
+        bad = np.flatnonzero(codes < 0)
+        if bad.size:
+            raise ValueError(f"{self.name}: element {bad[0]} is not an integer matrix")
+        object.__setattr__(self, "_index", _lookup(codes))
+
+    def element_matrices(self) -> np.ndarray:
+        """The element matrices as one (order, 3, 3) stack."""
+        return np.array([op.matrix for op in self.elements]).reshape(-1, 3, 3)
+
+    @cached_property
+    def product_table(self) -> np.ndarray:
+        """(order, order) ints: table[i, j] is the index of
+        elements[i] @ elements[j], or -1 where that product is no element."""
+        mats = self.element_matrices()
+        table = self.find_elements(mats[:, None] @ mats[None])
+        table.setflags(write=False)
+        return table
 
     def character(self, irrep: Irrep, element_index: int) -> int:
         return irrep.characters[self.class_of_element[element_index]]
@@ -198,10 +213,16 @@ class PointGroup:
 
     def find_element(self, matrix) -> int | None:
         """Index of the element equal to `matrix` within MATCH_TOL, else None."""
-        return self._index.get(_element_key(matrix))
+        m = np.asarray(matrix, dtype=float)
+        i = int(self.find_elements(m)) if m.shape == (3, 3) else -1
+        return i if i >= 0 else None
+
+    def find_elements(self, mats) -> np.ndarray:
+        """find_element over a (..., 3, 3) stack, with -1 for None."""
+        return self._index[_element_codes(mats)]
 
     def contains_group(self, other: "PointGroup") -> bool:
-        return all(self.find_element(op.matrix) is not None for op in other.elements)
+        return bool((self.find_elements(other.element_matrices()) >= 0).all())
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +374,16 @@ def _perm_part(m):
     return p
 
 
+# Each rule maps the (g, 3, 3) stack of operation matrices to the (g, d, d)
+# stack of irrep matrices (copied when stored); the sign helpers return
+# (g, 1, 1) stacks.
+
 def _det(m):
-    return float(round(np.linalg.det(m)))
+    return np.rint(np.linalg.det(m))[:, None, None]
 
 
 def _perm_parity(m):
-    return float(round(np.linalg.det(_perm_part(m))))
+    return _det(_perm_part(m))
 
 
 def _quad_pair(m):
@@ -366,68 +391,60 @@ def _quad_pair(m):
 
 
 def _xy_block(m):
-    return np.array(m[:2, :2])
+    return m[:, :2, :2]
 
 
 def _xy_det(m):
-    return float(round(np.linalg.det(m[:2, :2])))
+    return _det(m[:, :2, :2])
 
 
 def _xy_diagness(m):
     # +1 when the xy block is diagonal, -1 when antidiagonal
-    return float(round(m[0, 0] ** 2 - m[0, 1] ** 2))
+    return np.rint(m[:, :1, :1] ** 2 - m[:, :1, 1:2] ** 2)
 
 
-def _scalar(fn):
-    return lambda m: np.array([[fn(m)]])
+def _one(m):
+    return np.ones((len(m), 1, 1))
 
 
 _MATRIX_RULES = {
     "O_h": {
-        "A_1g": _scalar(lambda m: 1.0),
-        "A_2g": _scalar(_perm_parity),
+        "A_1g": _one,
+        "A_2g": _perm_parity,
         "E_g": _quad_pair,
-        "T_1g": lambda m: _det(m) * np.array(m),
-        "T_2g": lambda m: _perm_parity(m) * _det(m) * np.array(m),
-        "A_1u": _scalar(_det),
-        "A_2u": _scalar(lambda m: _det(m) * _perm_parity(m)),
+        "T_1g": lambda m: _det(m) * m,
+        "T_2g": lambda m: _perm_parity(m) * _det(m) * m,
+        "A_1u": _det,
+        "A_2u": lambda m: _det(m) * _perm_parity(m),
         "E_u": lambda m: _det(m) * _quad_pair(m),
-        "T_1u": lambda m: np.array(m),
-        "T_2u": lambda m: _perm_parity(m) * np.array(m),
-    },
-    "O": {
-        "A_1": _scalar(lambda m: 1.0),
-        "A_2": _scalar(_perm_parity),
-        "E": _quad_pair,
-        "T_1": lambda m: np.array(m),
-        "T_2": lambda m: _perm_parity(m) * np.array(m),
+        "T_1u": lambda m: m,
+        "T_2u": lambda m: _perm_parity(m) * m,
     },
     "D_4h": {
-        "A_1g": _scalar(lambda m: 1.0),
-        "A_2g": _scalar(_xy_det),
-        "B_1g": _scalar(_xy_diagness),
-        "B_2g": _scalar(lambda m: _xy_det(m) * _xy_diagness(m)),
+        "A_1g": _one,
+        "A_2g": _xy_det,
+        "B_1g": _xy_diagness,
+        "B_2g": lambda m: _xy_det(m) * _xy_diagness(m),
         "E_g": lambda m: _det(m) * _xy_block(m),
-        "A_1u": _scalar(_det),
-        "A_2u": _scalar(lambda m: _det(m) * _xy_det(m)),
-        "B_1u": _scalar(lambda m: _det(m) * _xy_diagness(m)),
-        "B_2u": _scalar(lambda m: _det(m) * _xy_det(m) * _xy_diagness(m)),
+        "A_1u": _det,
+        "A_2u": lambda m: _det(m) * _xy_det(m),
+        "B_1u": lambda m: _det(m) * _xy_diagness(m),
+        "B_2u": lambda m: _det(m) * _xy_det(m) * _xy_diagness(m),
         "E_u": _xy_block,
     },
-    "C_4v": {
-        "A_1": _scalar(lambda m: 1.0),
-        "A_2": _scalar(_xy_det),
-        "B_1": _scalar(_xy_diagness),
-        "B_2": _scalar(lambda m: _xy_det(m) * _xy_diagness(m)),
-        "E": _xy_block,
-    },
     "C_2v": {
-        "A_1": _scalar(lambda m: 1.0),
-        "A_2": _scalar(_xy_det),
-        "B_1": _scalar(lambda m: float(m[0, 0])),
-        "B_2": _scalar(lambda m: float(m[1, 1])),
+        "A_1": _one,
+        "A_2": _xy_det,
+        "B_1": lambda m: m[:, :1, :1],
+        "B_2": lambda m: m[:, 1:2, 1:2],
     },
 }
+# O is the rotation subgroup of O_h, and C_4v a subgroup of D_4h; their
+# irreps restrict these O_h and D_4h irreps
+_MATRIX_RULES["O"] = {n: _MATRIX_RULES["O_h"][m] for n, m in zip(
+    ("A_1", "A_2", "E", "T_1", "T_2"), ("A_1g", "A_2g", "E_g", "T_1g", "T_2g"))}
+_MATRIX_RULES["C_4v"] = {n: _MATRIX_RULES["D_4h"][m] for n, m in zip(
+    ("A_1", "A_2", "B_1", "B_2", "E"), ("A_1g", "A_2g", "B_1g", "B_2g", "E_u"))}
 
 
 # ---------------------------------------------------------------------------
@@ -435,102 +452,83 @@ _MATRIX_RULES = {
 # ---------------------------------------------------------------------------
 
 def _close_under_product(generators):
-    elems = []
-    seen = set()
+    """Element matrices generated by `generators`, and their product table:
+    the identity, the generators, then each new product a @ b in the order
+    met by passes over the pairs, a from the elements at the start of the
+    pass and b from the elements found so far, until the elements close."""
+    elems, seen = [], set()
 
-    def add(m):
-        key = _element_key(m)
-        if key is None:
-            raise ValueError("generators must be integer matrices")
-        if key in seen:
-            return False
-        seen.add(key)
-        elems.append(m)
-        return True
+    def add(stack):
+        for code, m in zip(_element_codes(stack).tolist(), stack):
+            if code not in seen:
+                seen.add(code)
+                elems.append(m)
 
-    for g in [np.eye(3)] + [np.asarray(g, dtype=float) for g in generators]:
-        add(g)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(elems):
-            for b in list(elems):
-                changed = add(a @ b) or changed
-        if len(elems) > 256:
-            raise RuntimeError("generator closure did not terminate")
-    return elems
-
-
-def _conjugacy_classes(elems):
-    n = len(elems)
-    assigned = [None] * n
-    index = {_element_key(e): i for i, e in enumerate(elems)}
-
-    classes = []
-    for i in range(n):
-        if assigned[i] is not None:
-            continue
-        members = set()
-        for h in elems:
-            members.add(index[_element_key(h @ elems[i] @ h.T)])
-        for j in members:
-            assigned[j] = len(classes)
-        classes.append(tuple(sorted(members)))
-    return classes
+    add(np.array([np.eye(3)] + [np.asarray(g, dtype=float) for g in generators]))
+    if -1 in seen:
+        raise ValueError("generators must be integer matrices")
+    while len(elems) <= 256:
+        mats = np.array(elems)
+        index = _lookup(_element_codes(mats))
+        table = index[_element_codes(mats[:, None] @ mats[None])]
+        if (table >= 0).all():
+            return mats, table
+        for a in mats:
+            add(a @ np.array(elems))
+    raise RuntimeError("generator closure did not terminate")
 
 
-@lru_cache(maxsize=None)
+def _conjugacy_classes(table):
+    """Conjugacy classes as sorted index tuples, ordered by first member.
+    h e h^-1 is table[table[h, e], inverse[h]]; element 0 is the identity."""
+    inverse = np.argmax(table == 0, axis=1)
+    first = table[table, inverse[:, None]].min(axis=0)
+    return [tuple(np.flatnonzero(first == f).tolist())
+            for f in np.flatnonzero(first == np.arange(len(first)))]
+
+
 def builtin_group(name: str) -> PointGroup:
     """Build one of the built-in groups: O_h, O, D_4h, C_4v, C_2v.
 
     Elements are generated from the encoded generator set and closed under
     multiplication; conjugacy classes are matched to the encoded table
     columns by operation signature.  The result is validated (see
-    verify_group) before being returned and cached.
+    verify_group: closure, the character table, and every product of every
+    irrep's matrices) before being returned, and cached by canonical name.
     """
-    canonical = normalize_group_name(name)
+    return _build_group(normalize_group_name(name))
+
+
+@lru_cache(maxsize=None)
+def _build_group(canonical: str) -> PointGroup:
     data = _GROUPS[canonical]
-    matrices = _close_under_product(data["generators"])
-    ops = [operation_from_matrix(m) for m in matrices]   # identity first
-    raw_classes = _conjugacy_classes([op.matrix for op in ops])
+    mats, table = _close_under_product(data["generators"])
+    ops = [operation_from_matrix(m) for m in mats]   # identity first
 
     class_objs = [None] * len(data["classes"])
-    class_of_element = [None] * len(ops)
-    for members in raw_classes:
+    class_of_element = np.empty(len(ops), dtype=int)
+    for members in _conjugacy_classes(table):
         rep = ops[members[0]]
         sig = (int(round(np.linalg.det(rep.matrix))), rep.angle, _axis_kind(rep))
-        slot = None
-        for ci, (label, size, det, angle, kinds) in enumerate(data["classes"]):
-            if (sig[0] == det and abs(sig[1] - angle) < 1e-6
-                    and sig[2] in kinds and len(members) == size):
-                slot = ci
-                break
+        slot = next((ci for ci, (_, size, det, angle, kinds)
+                     in enumerate(data["classes"])
+                     if sig[0] == det and abs(sig[1] - angle) < 1e-6
+                     and sig[2] in kinds and len(members) == size), None)
         if slot is None or class_objs[slot] is not None:
             raise RuntimeError(
                 f"{canonical}: generated class {sig} does not match the encoded table")
         class_objs[slot] = ConjugacyClass(data["classes"][slot][0], len(members),
-                                          rep, tuple(members))
-        for j in members:
-            class_of_element[j] = slot
+                                          rep, members)
+        class_of_element[list(members)] = slot
     if any(c is None for c in class_objs):
         raise RuntimeError(f"{canonical}: class count mismatch")
 
+    # verify_group checks every rule against the characters
     rules = _MATRIX_RULES[canonical]
-    irreps = []
-    for row, (irrep_name, dim, parity, chars) in enumerate(data["irreps"]):
-        rule = rules[irrep_name]
-        mats = {}
-        for i, op in enumerate(ops):
-            gamma = np.asarray(rule(op.matrix), dtype=float)
-            if abs(np.trace(gamma) - chars[class_of_element[i]]) > 1e-9:
-                raise RuntimeError(
-                    f"{canonical}/{irrep_name}: matrix rule disagrees with character "
-                    f"at element {i}")
-            mats[i] = _readonly(gamma)
-        irreps.append(Irrep(irrep_name, row + 1, dim, parity, chars, mats))
-
+    irreps = tuple(Irrep(name, row + 1, dim, par, chars, _readonly(rules[name](mats)))
+                   for row, (name, dim, par, chars) in enumerate(data["irreps"]))
     group = PointGroup(canonical, len(ops), tuple(ops), tuple(class_objs),
-                       tuple(irreps), tuple(class_of_element))
+                       irreps, tuple(class_of_element.tolist()))
     report = verify_group(group)
     if not report.ok:
         raise RuntimeError(f"{canonical} failed validation: {report.violations}")
@@ -589,21 +587,19 @@ def verify_group(group: PointGroup, check_matrices: bool = True) -> ValidationRe
     closure, class partition consistency, sum of squared dimensions,
     identity column, row and column orthogonality, and (optionally) that
     stored irrep matrices trace to the characters and multiply like the
-    group.
+    group, on all order^2 pairs.  The product table is rebuilt from the
+    element matrices, not taken from the group's cache.
     """
     bad = []
     g = group.order
     if len(group.elements) != g:
         bad.append("order does not match element count")
 
-    for i, a in enumerate(group.elements):
-        for b in group.elements:
-            if group.find_element(a.matrix @ b.matrix) is None:
-                bad.append(f"closure fails at element pair starting from {i}")
-                break
-        else:
-            continue
-        break
+    mats = group.element_matrices()
+    table = group.find_elements(mats[:, None] @ mats[None])
+    open_rows = np.flatnonzero((table < 0).any(axis=1))
+    if open_rows.size:
+        bad.append(f"closure fails at element pair starting from {open_rows[0]}")
 
     if sum(c.size for c in group.classes) != g:
         bad.append("class sizes do not sum to the group order")
@@ -621,33 +617,28 @@ def verify_group(group: PointGroup, check_matrices: bool = True) -> ValidationRe
             bad.append(f"{p.name}: character at identity != dimension")
 
     sizes = np.array([c.size for c in group.classes], dtype=float)
-    table = np.array([p.characters for p in group.irreps], dtype=float)
-    gram = (table * sizes) @ table.T
+    chars = np.array([p.characters for p in group.irreps], dtype=float)
+    gram = (chars * sizes) @ chars.T
     if np.abs(gram - g * np.eye(len(group.irreps))).max() > 1e-10:
         bad.append("row orthogonality violated")
-    col = table.T @ table
+    col = chars.T @ chars
     expect = np.diag(g / sizes)
     if np.abs(col - expect).max() > 1e-10:
         bad.append("column orthogonality violated")
 
     if check_matrices:
-        rng = np.random.default_rng(0)
-        n_pairs = min(200, g * g)
-        pairs = [(int(rng.integers(g)), int(rng.integers(g))) for _ in range(n_pairs)]
         for p in group.irreps:
             if p.matrices is None:
                 continue
-            for i, op in enumerate(group.elements):
-                tr = np.trace(p.matrices[i])
-                if abs(tr - group.character(p, i)) > 1e-8:
-                    bad.append(f"{p.name}: matrix trace != character at element {i}")
-                    break
-            for i, j in pairs:
-                k = group.find_element(group.elements[i].matrix
-                                       @ group.elements[j].matrix)
-                if np.abs(p.matrices[i] @ p.matrices[j] - p.matrices[k]).max() > 1e-8:
-                    bad.append(f"{p.name}: matrices do not respect the product table")
-                    break
+            gamma = np.asarray(p.matrices)
+            off = np.abs(np.trace(gamma, axis1=1, axis2=2)
+                         - np.take(p.characters, group.class_of_element)) > 1e-8
+            if off.any():
+                bad.append(f"{p.name}: matrix trace != character at element "
+                           f"{np.argmax(off)}")
+            if not open_rows.size and np.abs(
+                    gamma[:, None] @ gamma[None] - gamma[table]).max() > 1e-8:
+                bad.append(f"{p.name}: matrices do not respect the product table")
 
     return ValidationReport(group.name, tuple(bad))
 

@@ -77,6 +77,10 @@ class SubductionResult:
     def as_dict(self) -> dict:
         return dict(self.entries)
 
+    def to_json(self) -> dict:
+        return {"parent": str(self.parent), "child_group": self.child_group,
+                "entries": {n: str(m) for n, m in self.entries}}
+
     def total_dimension(self, group: PointGroup) -> Fraction:
         return sum((m * group.irrep(n).dimension for n, m in self.entries),
                    Fraction(0))
@@ -133,22 +137,18 @@ def _character_on_elements(parent, parent_group, child: PointGroup,
             Fraction(parent.dimension)
 
     irrep = parent_group.irrep(parent)
-    child_in_parent = []
-    for op in child.elements:
-        idx = parent_group.find_element(op.matrix)
-        if idx is None:
-            raise NotASubgroupError(
-                f"{child.name} is not a subgroup of {parent_group.name}")
-        child_in_parent.append(idx)
+    child_in_parent = parent_group.find_elements(child.element_matrices())
+    if (child_in_parent < 0).any():
+        raise NotASubgroupError(
+            f"{child.name} is not a subgroup of {parent_group.name}")
 
     if parity is None:
-        chi = np.array([parent_group.character(irrep, i) for i in child_in_parent],
-                       dtype=float)
-        return chi, Fraction(irrep.dimension)
+        classes = np.take(parent_group.class_of_element, child_in_parent)
+        return np.take(irrep.characters, classes).astype(float), \
+            Fraction(irrep.dimension)
 
     slots = _plane_slots(parent_group, irrep, parity)
-    chi = np.array([sum(float(irrep.matrices[i][mu, mu]) for mu in slots)
-                    for i in child_in_parent])
+    chi = irrep.matrices[child_in_parent][:, slots, slots].sum(axis=1)
     return chi, Fraction(len(slots))
 
 

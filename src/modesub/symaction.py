@@ -258,11 +258,10 @@ def action_from_operators(group: PointGroup, operators, dof: int = 1,
         t = int(np.flatnonzero(~ok)[0])
         raise ValueError(f"operator {t} is not a signed block permutation "
                          f"with orthogonal {dof}x{dof} blocks")
-    mats = np.array([op.matrix for op in group.elements])
     for s, ps in enumerate(perms):
         # D(S) D(T) permutes by perms[T][ps], with blocks blocks[S] @
         # blocks[T][ps]; it must be D(ST)
-        st = np.array([group.find_element(m) for m in mats[s] @ mats])
+        st = group.product_table[s]
         ok = ((perms[:, ps] == perms[st]).all(axis=1)
               & (np.abs(blocks[s] @ blocks[:, ps] - blocks[st])
                  .max(axis=(1, 2, 3), initial=0.0) <= REPRESENTATION_TOL))

@@ -280,13 +280,20 @@ def test_thread_env_defaulting():
 
 
 def test_solve_and_classify_load_no_scipy():
-    # a fresh interpreter, as every command runs in: the solve and classify
-    # path must not pay for scipy; only tracking imports scipy.optimize
+    # a fresh interpreter, as every command runs in: the group build and
+    # check load neither scipy nor numpy's random and masked-array modules,
+    # the solve and classify path must not pay for scipy, and only tracking
+    # imports scipy.optimize
     script = (
         "import sys\n"
         "import numpy as np\n"
         "from modesub import cmsolver, fileio, symaction, tracker\n"
-        "from modesub.pointgroup import builtin_group\n"
+        "from modesub.pointgroup import (builtin_group, builtin_group_names,\n"
+        "                                verify_group)\n"
+        "assert all(verify_group(builtin_group(n)).ok\n"
+        "           for n in builtin_group_names())\n"
+        "print('GROUPS', sorted(m for m in sys.modules if m in\n"
+        "                       ('numpy.random', 'numpy.ma', 'scipy')))\n"
         "g = builtin_group('O_h')\n"
         "act = symaction.action_from_points(\n"
         "    g, symaction.orbit_points(g, np.array([1.0, 0.6, 0.3])))\n"
@@ -306,7 +313,8 @@ def test_solve_and_classify_load_no_scipy():
     env = dict(os.environ, PYTHONPATH=pkg_root)
     res = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.splitlines()[-2:] == ["SCIPY []", "OPTIMIZE True"]
+    assert res.stdout.splitlines()[-3:] == ["GROUPS []", "SCIPY []",
+                                            "OPTIMIZE True"]
 
 
 def test_console_script_installed():

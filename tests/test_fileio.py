@@ -12,7 +12,8 @@ from modesub import fileio
 from modesub.cmsolver import ImpedancePair, ModeSet, solve_cm
 from modesub.pointgroup import builtin_group
 from modesub.symaction import GroupAction, action_from_points, orbit_points
-from modesub.tracker import Snapshot, TrackOptions, TrackedTrace, TracePoint, track
+from modesub.tracker import (AvoidanceSignature, Snapshot, TrackOptions,
+                             TrackedTrace, TracePoint, track)
 
 from group_helpers import dense_operators
 
@@ -115,6 +116,15 @@ def test_modes_json_rejects_other_documents(tmp_path):
     ("lambdas", [1.0, "2"], "lambdas must be a list of numbers"),
     ("lambdas", [True, 2.0], "lambdas must be a list of numbers"),
     ("lambdas", [[1.0], [2.0]], "lambdas must be a list of numbers"),
+    ("lambdas", [None, 2.0], "lambdas must be a list of numbers"),
+    ("vectors", [[None, 0.0], [0.0, 1.0]], "vectors must be a 2-D list of 2"),
+    ("vectors", [[1.0, 0.0], [0.0, True]], "vectors must be a 2-D list of 2"),
+    ("vectors", [[False, 0], [0, 1]], "vectors must be a 2-D list of 2"),
+    ("vectors", [[1.0, 0.0], [0.0, "1"]], "vectors must be a 2-D list of 2"),
+    ("frequency", "1.5", "frequency must be a number"),
+    ("frequency", None, "frequency must be a number"),
+    ("frequency", True, "frequency must be a number"),
+    ("frequency", [1.5], "frequency must be a number"),
 ])
 def test_modes_json_rejects_malformed_mode_sets(tmp_path, key, value,
                                                 reason):
@@ -154,6 +164,34 @@ def test_traces_round_trip(tmp_path):
     assert [(pt.frequency, pt.lam, pt.mode_index) for pt in got.points] == \
         [(1.0, -2.0, 0), (2.0, -1.0, 1)]
     assert got.events == [{"kind": "birth", "frequency": 1.0}]
+
+
+def test_modes_json_reads_numbers_beside_boolean_words(tmp_path):
+    # "true" in a label sends the loader down its per-entry path
+    p = tmp_path / "modes.json"
+    p.write_text(json.dumps({"frequency": 2, "lambdas": [1, -0.5],
+                             "vectors": [[1, 0.0], [0, 1]],
+                             "labels": ["true", "false"]}))
+    snap = fileio.load_modes_json(p)
+    assert snap.frequency == 2.0 and isinstance(snap.frequency, float)
+    assert snap.lambdas.tolist() == [1.0, -0.5]
+    assert snap.vectors.dtype == float
+    assert snap.vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert snap.labels == ("true", "false")
+
+
+def test_mode_set_without_modes_loads_back(tmp_path):
+    p = tmp_path / "modes.json"
+    fileio.save_modes_json(p, ModeSet(np.zeros(0), np.zeros((3, 0)), 0,
+                                      frequency=1.5))
+    snap = fileio.load_modes_json(p)
+    assert (snap.frequency, snap.count, snap.vectors) == (1.5, 0, None)
+    # and tracks between snapshots that have modes
+    rng = np.random.default_rng(4)
+    full = [Snapshot(f, [1.0, 2.0], rng.normal(size=(3, 2)), ("A", "A"))
+            for f in (1.0, 2.0)]
+    traces = track([full[0], snap, full[1]])
+    assert [len(tr.points) for tr in traces] == [1, 1, 1, 1]
 
 
 def test_traces_csv_layout():
@@ -495,3 +533,77 @@ def test_csv_reader_rejects_binary_grid_as_vectors(tmp_path):
     p.write_bytes(b"\xff\xfe1,2\n")
     with pytest.raises(ValueError, match="v.cmx: "):
         fileio.load_matrix(p)
+
+
+def reference_traces_json(traces, avoidances) -> str:
+    doc = {
+        "traces": [
+            {"id": tr.id, "irrep": tr.irrep,
+             "points": [{"frequency": p.frequency, "lambda": p.lam,
+                         "mode_index": p.mode_index} for p in tr.points],
+             "events": tr.events}
+            for tr in traces
+        ],
+        "avoidances": [
+            {"lower_id": s.lower_id, "upper_id": s.upper_id,
+             "irrep": s.irrep, "frequency": s.frequency, "gap": s.gap,
+             "kind": s.kind}
+            for s in avoidances
+        ],
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+EVENTS = st.sampled_from([
+    {"kind": "birth", "frequency": 1.0},
+    {"kind": "death", "frequency": float("nan")},
+    {"kind": "pole-split", "interval": (1.5, 2.0)},
+    {"kind": "pole-split-reversed", "interval": (2.0, float("inf"))},
+])
+
+
+@st.composite
+def trace_sets(draw):
+    traces = []
+    for tid in range(draw(st.integers(0, 3))):
+        points = [TracePoint(draw(FLOATS), draw(FLOATS), draw(st.integers(0, 9)))
+                  for _ in range(draw(st.integers(0, 4)))]
+        irrep = draw(st.one_of(st.none(), st.text(max_size=4)))
+        traces.append(TrackedTrace(tid, irrep, points,
+                                   draw(st.lists(EVENTS, max_size=3))))
+    avoidances = [
+        AvoidanceSignature(draw(st.integers(0, 5)), draw(st.integers(0, 5)),
+                           draw(st.text(max_size=4)), draw(FLOATS),
+                           draw(FLOATS), draw(st.sampled_from(["MICA", "MACA"])))
+        for _ in range(draw(st.integers(0, 2)))]
+    return traces, avoidances
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=trace_sets())
+@example(case=([TrackedTrace(0, "A_1g", [TracePoint(1.0, float("nan"), 0),
+                                         TracePoint(2.0, float("-inf"), 1)],
+                             [{"kind": "birth", "frequency": 1.0}])],
+               [AvoidanceSignature(0, 1, "A_1g", 1.5, float("inf"), "MICA")]))
+def test_traces_json_bytes_match_json_dump(tmp_path_factory, case):
+    traces, avoidances = case
+    p = tmp_path_factory.mktemp("traces") / "traces.json"
+    fileio.save_traces_json(p, traces, avoidances)
+    assert p.read_text() == reference_traces_json(traces, avoidances)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=mode_sets())
+def test_modes_json_round_trip_any_mode_set(tmp_path_factory, case):
+    modes, names = case
+    p = tmp_path_factory.mktemp("modes") / "modes.json"
+    fileio.save_modes_json(p, modes, labels=names)
+    snap = fileio.load_modes_json(p)
+    assert np.array_equal(snap.frequency, modes.frequency, equal_nan=True)
+    assert np.array_equal(snap.lambdas, modes.eigenvalues, equal_nan=True)
+    if modes.count:
+        assert np.array_equal(snap.vectors, modes.eigencurrents,
+                              equal_nan=True)
+    else:
+        assert snap.vectors is None
+    assert snap.labels == tuple(names)

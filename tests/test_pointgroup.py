@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from modesub.pointgroup import (
     TE,
     TM,
     O3IrrepId,
+    _element_codes,
     builtin_group,
     format_character_table,
     group_to_json,
@@ -20,7 +22,7 @@ from modesub.pointgroup import (
     verify_group,
 )
 
-from group_helpers import perturbed_character_table
+from group_helpers import element_key, oracle_group, perturbed_character_table
 
 GROUP_ORDERS = {"O_h": 48, "O": 24, "D_4h": 16, "C_4v": 8, "C_2v": 4}
 
@@ -242,3 +244,94 @@ def test_point_group_needs_integer_elements():
     tilted = operation_from_matrix([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValueError, match="not an integer matrix"):
         replace(g, elements=g.elements[:-1] + (tilted,))
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_ORDERS))
+def test_build_matches_element_at_a_time_oracle(name):
+    g, want = builtin_group(name), oracle_group(name)
+    got = [op.matrix for op in g.elements]
+    assert len(got) == len(want["matrices"])
+    assert all(np.array_equal(a, b) for a, b in zip(got, want["matrices"]))
+    assert [c.member_indices for c in g.classes] == want["classes"]
+    assert list(g.class_of_element) == want["class_of_element"]
+    assert [p.name for p in g.irreps] == list(want["irreps"])
+    for p in g.irreps:
+        assert p.matrices.shape == (g.order, p.dimension, p.dimension)
+        for mine, theirs in zip(p.matrices, want["irreps"][p.name]):
+            assert np.array_equal(mine, theirs)
+            # same bits, signed zeros included
+            assert mine.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_ORDERS))
+def test_product_table_matches_find_element(name):
+    g = builtin_group(name)
+    table = g.product_table
+    assert table.shape == (g.order, g.order)
+    assert not table.flags.writeable
+    for i, a in enumerate(g.elements):
+        for j, b in enumerate(g.elements):
+            assert table[i, j] == g.find_element(a.matrix @ b.matrix)
+
+
+def test_groups_are_cached_by_canonical_name():
+    assert builtin_group("Oh") is builtin_group("O_h")
+    assert builtin_group(" d4h ") is builtin_group("D_4h")
+
+
+def test_verify_group_checks_every_irrep_product():
+    # transposing one matrix keeps every trace, so only the product check
+    # can see it
+    for name in ("O_h", "O", "D_4h", "C_4v"):
+        g = builtin_group(name)
+        p, t = next((p, t) for p in g.irreps for t in range(g.order)
+                    if np.abs(p.matrices[t] - p.matrices[t].T).max() > 0.5)
+        mats = p.matrices.copy()
+        mats[t] = mats[t].T
+        bad = replace(g, irreps=tuple(replace(q, matrices=mats) if q is p
+                                      else q for q in g.irreps))
+        assert verify_group(bad).violations == (
+            f"{p.name}: matrices do not respect the product table",)
+
+
+def _matrix_cases():
+    entry = st.integers(-2, 2)
+    return st.tuples(
+        st.lists(entry, min_size=9, max_size=9),
+        st.sampled_from(["exact", "near", "off", "nan", "inf", "-inf",
+                         "scaled"]),
+        st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+        st.integers(0, 8))
+
+
+def _perturbed(case):
+    ints, kind, noise, entry = case
+    m = np.array(ints, dtype=float)
+    if kind == "near":
+        m += 0.9 * MATCH_TOL * np.array(noise)
+    elif kind == "off":
+        m[entry] += 1e3 * MATCH_TOL * (1.0 + abs(noise[entry]))
+    elif kind in ("nan", "inf", "-inf"):
+        m[entry] = float(kind)
+    elif kind == "scaled":
+        m *= 1.0 + noise[entry]
+    return m.reshape(3, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases=st.lists(_matrix_cases(), min_size=1, max_size=6))
+def test_element_codes_match_the_element_key(cases):
+    mats = np.array([_perturbed(c) for c in cases])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = _element_codes(mats)
+        assert np.array_equal(_element_codes(mats[:, None]), codes[:, None])
+    keys = [element_key(m) for m in mats]
+    for code, key in zip(codes, keys):
+        # codes cover the entries of signed permutations: -1, 0 and 1
+        assert (code >= 0) == (key is not None and max(map(abs, key)) <= 1)
+        assert code < 3 ** 9
+    for c1, k1 in zip(codes, keys):
+        for c2, k2 in zip(codes, keys):
+            if c1 >= 0 and c2 >= 0:
+                assert (c1 == c2) == (k1 == k2)
