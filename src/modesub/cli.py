@@ -390,7 +390,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="traces.json path")
     p.add_argument("--enforce-vnw", action=argparse.BooleanOptionalAction,
                    default=True,
-                   help="reorder same-irrep traces so they never cross")
+                   help="pair same-irrep modes by eigenvalue rank, so "
+                        "their traces never cross")
     p.add_argument("--gap-threshold", type=float, default=1.0)
     p.add_argument("--no-labels", action="store_true",
                    help="ignore irrep labels in snapshots")

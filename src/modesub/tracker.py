@@ -1,15 +1,18 @@
 """Tracking of characteristic modes across a frequency sweep.
 
-Adjacent snapshots are matched by an optimal assignment over eigencurrent
-correlation (or eigenvalue proximity when no currents are available),
-restricted to equal irrep labels when labels are present.  A postprocessing
-pass reorders same-irrep traces by eigenvalue at every frequency, which is
-the von Neumann-Wigner constraint: equal-irrep traces avoid, they do not
-cross.
+With irrep labels and the von Neumann-Wigner constraint on (the default),
+modes of one irrep never cross: inside each irrep, the trace at eigenvalue
+rank r takes the r-th mode of the next snapshot in ascending (lambda, mode
+index) order.  Only where an irrep's mode count changes does an optimal
+assignment over eigencurrent correlation (or eigenvalue proximity when no
+currents are available) pick which traces end and which modes are born.
+Unlabelled sweeps, and labelled ones with the constraint off, are matched
+by that assignment alone, restricted to equal labels when labels are used.
 
-Only `track` needs scipy (`scipy.optimize`), and it imports it when called,
-so importing this module, or `fileio`, which reads snapshots into its
-types, loads no scipy.
+Only the assignment needs scipy (`scipy.optimize`), and `track` imports it
+when it first assigns, so importing this module, or `fileio`, which reads
+snapshots into its types, loads no scipy, and neither does a labelled sweep
+whose irrep counts stay constant.
 """
 
 from __future__ import annotations
@@ -112,19 +115,22 @@ def track(snapshots, options: TrackOptions | None = None) -> list:
 
     Birth and death events record modes that appear or disappear when the
     matched counts differ.  A single snapshot degenerates to one single-point
-    trace per mode.
+    trace per mode.  Snapshot frequencies must be finite and distinct.
     """
-    # loaded here, so that importing tracker (and fileio) loads no scipy
-    from scipy.optimize import linear_sum_assignment
-
     options = options or TrackOptions()
     snaps = sorted(snapshots, key=lambda s: s.frequency)
     if not snaps:
         raise ValueError("need at least one snapshot")
+    for i, s in enumerate(snaps):
+        if not np.isfinite(s.frequency):
+            raise ValueError(f"snapshot frequency {s.frequency} is not finite")
+        if i and s.frequency == snaps[i - 1].frequency:
+            raise ValueError(f"two snapshots at frequency {s.frequency}")
     if len({s.vectors.shape[0] for s in snaps if s.vectors is not None}) > 1:
         raise ValueError("snapshots carry vectors of different dimension")
 
     have_labels = options.use_labels and all(s.labels is not None for s in snaps)
+    by_rank = have_labels and options.enforce_no_crossing
     traces: list[TrackedTrace] = []
     active: dict[int, int] = {}       # trace id -> mode index in latest snapshot
 
@@ -141,28 +147,42 @@ def track(snapshots, options: TrackOptions | None = None) -> list:
     for k in range(first.count):
         open_trace(first, k)
 
-    for step in range(1, len(snaps)):
-        prev, nxt = snaps[step - 1], snaps[step]
-        prev_ids = list(active.keys())
-        groups = {}
-        for tid in prev_ids:
-            key = traces[tid].irrep if have_labels else None
-            groups.setdefault(key, ([], []))[0].append(tid)
-        for k in range(nxt.count):
+    for prev, nxt in zip(snaps, snaps[1:]):
+        # on the rank path, traces and modes come in ascending (lambda, mode
+        # index) order; otherwise in trace id and mode index order
+        tids, cols = list(active), range(nxt.count)
+        if by_rank:
+            held = np.array(list(active.values()), dtype=int)
+            tids = [tids[i] for i in np.lexsort((held, prev.lambdas[held]))]
+            cols = np.argsort(nxt.lambdas, kind="stable").tolist()
+        groups = {}                   # irrep -> (trace ids, modes of nxt)
+        for tid in tids:
+            groups.setdefault(traces[tid].irrep, ([], []))[0].append(tid)
+        for k in cols:
             key = nxt.labels[k] if have_labels else None
-            if key in groups:
-                groups[key][1].append(k)
+            groups.setdefault(key, ([], []))[1].append(k)
         survivors = {}
-        for key, (tids, cols) in groups.items():
-            if not cols:
+        for key, (g_tids, g_cols) in groups.items():
+            rank = by_rank and key is not None   # None names no irrep
+            if rank and len(g_tids) == len(g_cols):
+                # von Neumann-Wigner: one irrep's traces keep their order
+                survivors.update(zip(g_tids, g_cols))
                 continue
-            pi = np.array([active[t] for t in tids])
-            ni = np.array(cols)
-            aff = _affinity(prev, nxt, pi, ni, options)
-            rows, col_sel = linear_sum_assignment(aff, maximize=True)
-            for r, c in zip(rows, col_sel):
-                survivors[tids[r]] = cols[c]
-        for tid in prev_ids:
+            if not g_tids or not g_cols:
+                continue
+            # loaded here, so that a labelled sweep whose irrep counts stay
+            # constant, and importing tracker or fileio, load no scipy
+            from scipy.optimize import linear_sum_assignment
+            pi = np.array([active[t] for t in g_tids])
+            aff = _affinity(prev, nxt, pi, np.array(g_cols), options)
+            rows, sel = linear_sum_assignment(aff, maximize=True)
+            if rank:
+                # the matching only picks who ends and who is born; the
+                # continuing traces (rows come sorted) take the matched
+                # modes in rank order
+                sel = np.sort(sel)
+            survivors.update((g_tids[r], g_cols[c]) for r, c in zip(rows, sel))
+        for tid in list(active):
             if tid in survivors:
                 k = survivors[tid]
                 traces[tid].points.append(
@@ -176,58 +196,7 @@ def track(snapshots, options: TrackOptions | None = None) -> list:
         for k in range(nxt.count):
             if k not in matched_cols:
                 open_trace(nxt, k, born=True)
-
-    if options.enforce_no_crossing and have_labels:
-        _enforce_no_crossing(traces)
     return traces
-
-
-def _enforce_no_crossing(traces):
-    """Reassign points inside each irrep label so eigenvalue order is kept.
-
-    At every frequency, the points of one irrep group are sorted by
-    eigenvalue and handed back to the traces present there in their standing
-    rank order; traces that appear mid-sweep slot in at the rank nearest
-    their raw eigenvalue.  Whenever raw tracking produced a same-irrep
-    crossing, the members swap from the crossing on, turning the
-    intersection into a touching avoidance.
-    """
-    by_irrep = {}
-    for tr in traces:
-        if tr.irrep is not None:
-            by_irrep.setdefault(tr.irrep, []).append(tr)
-    for group in by_irrep.values():
-        if len(group) < 2:
-            continue
-        freqs = sorted({p.frequency for tr in group for p in tr.points})
-        point_of = [{p.frequency: p for p in tr.points} for tr in group]
-        rank_order: list[int] = []      # indices into `group`, ranked by lambda
-        new_points: list[list] = [[] for _ in group]
-        for f in freqs:
-            present = [i for i in range(len(group)) if f in point_of[i]]
-            if not present:
-                continue
-            pool = sorted((point_of[i][f] for i in present),
-                          key=lambda p: p.lam)
-            continuing = [i for i in rank_order if i in present]
-            newcomers = sorted((i for i in present if i not in continuing),
-                               key=lambda i: point_of[i][f].lam)
-            slots = [None] * len(pool)
-            taken = set()
-            for i in newcomers:
-                raw = point_of[i][f].lam
-                j = min((k for k in range(len(pool)) if k not in taken),
-                        key=lambda k: abs(pool[k].lam - raw))
-                slots[j] = i
-                taken.add(j)
-            free = [k for k in range(len(pool)) if slots[k] is None]
-            for k, i in zip(free, continuing):
-                slots[k] = i
-            for k, i in enumerate(slots):
-                new_points[i].append(pool[k])
-            rank_order = list(slots)
-        for i, tr in enumerate(group):
-            tr.points = new_points[i]
 
 
 def split_at_poles(trace: TrackedTrace,

@@ -282,8 +282,8 @@ def test_thread_env_defaulting():
 def test_solve_and_classify_load_no_scipy():
     # a fresh interpreter, as every command runs in: the group build and
     # check load neither scipy nor numpy's random and masked-array modules,
-    # the solve and classify path must not pay for scipy, and only tracking
-    # imports scipy.optimize
+    # the solve and classify path must not pay for scipy, and neither does
+    # tracking one labelled snapshot
     script = (
         "import sys\n"
         "import numpy as np\n"
@@ -314,7 +314,58 @@ def test_solve_and_classify_load_no_scipy():
     res = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.splitlines()[-3:] == ["GROUPS []", "SCIPY []",
-                                            "OPTIMIZE True"]
+                                            "OPTIMIZE False"]
+
+
+def write_labelled_snapshots(snapdir, frequencies):
+    """One two-irrep mode-set file per frequency, three modes each."""
+    snapdir.mkdir()
+    for k, f in enumerate(frequencies):
+        (snapdir / f"s{k}.json").write_text(json.dumps(
+            {"frequency": f, "lambdas": [f, 1.0 - f, 2.0 * f],
+             "vectors": np.eye(3).tolist(), "labels": ["A_1", "A_1", "E"]}))
+
+
+@pytest.mark.parametrize("flag", ["--no-labels", "--no-enforce-vnw"])
+def test_track_loads_scipy_optimize_only_to_assign(tmp_path, flag):
+    # a labelled sweep whose irrep counts stay constant pairs modes by
+    # eigenvalue rank and loads no scipy.optimize; correlation matching does
+    snapdir = tmp_path / "snaps"
+    write_labelled_snapshots(snapdir, [0.0, 0.25, 0.5, 0.75, 1.0])
+    script = (
+        "import sys\n"
+        "from modesub.cli import main\n"
+        "for extra in ([], [sys.argv[1]]):\n"
+        "    assert main(['track', '--snapshots', sys.argv[2],\n"
+        "                 '--out', sys.argv[3]] + extra) == 0\n"
+        "    print('OPTIMIZE', 'scipy.optimize' in sys.modules)\n"
+    )
+    pkg_root = os.path.dirname(os.path.dirname(modesub.__file__))
+    env = dict(os.environ, PYTHONPATH=pkg_root)
+    res = subprocess.run([sys.executable, "-c", script, flag, str(snapdir),
+                          str(tmp_path / "traces.json")], env=env,
+                         capture_output=True, text=True, check=True)
+    lines = res.stdout.splitlines()
+    assert lines[0] == f"3 traces, 1 avoidance signatures -> " \
+                       f"{tmp_path / 'traces.json'}"
+    assert lines[1::2] == ["OPTIMIZE False", "OPTIMIZE True"]
+
+
+@pytest.mark.parametrize("frequencies, message", [
+    ([1.0, 2.0, 1.0, 3.0], "two snapshots at frequency 1.0"),
+    ([0.0, float("nan")], "snapshot frequency nan is not finite"),
+])
+def test_track_rejects_repeated_or_nonfinite_frequencies(capsys, tmp_path,
+                                                         frequencies,
+                                                         message):
+    snapdir = tmp_path / "snaps"
+    write_labelled_snapshots(snapdir, frequencies)
+    out_path = tmp_path / "traces.json"
+    code, out, err = run(capsys, "track", "--snapshots", str(snapdir),
+                         "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert not out_path.exists()
 
 
 def test_console_script_installed():

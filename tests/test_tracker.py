@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -376,3 +378,248 @@ def test_detect_avoidances_in_chunks(monkeypatch):
     assert len(want) > 10
     monkeypatch.setattr(tracker, "_GAP_CHUNK", 1)
     assert detect_avoidances(traces) == want
+
+
+def test_labelled_birth_and_death_keep_rank_order():
+    # A_1 gains a mode at f = 1 and loses one at f = 3, E dies after f = 1
+    # and B_1 is born at f = 3; the correlations (unit vectors) would hand
+    # the surviving A_1 modes over crosswise at f = 3, rank order does not
+    e = np.eye(4)
+    snaps = [
+        Snapshot(0.0, np.array([0.0, 1.0, 5.0]), e[:, [0, 1, 3]],
+                 ("A_1", "A_1", "E")),
+        Snapshot(1.0, np.array([0.1, 1.1, 2.0, 5.1]), e[:, [0, 1, 2, 3]],
+                 ("A_1", "A_1", "A_1", "E")),
+        Snapshot(2.0, np.array([2.1, 0.2, 1.2]), e[:, [2, 0, 1]],
+                 ("A_1", "A_1", "A_1")),
+        Snapshot(3.0, np.array([2.5, 0.3, -1.0]), e[:, [0, 2, 3]],
+                 ("A_1", "A_1", "B_1")),
+    ]
+    traces = track(snaps)
+    assert [(tr.id, tr.irrep, list(tr.frequencies), list(tr.lambdas),
+             [p.mode_index for p in tr.points], tr.events)
+            for tr in traces] == [
+        (0, "A_1", [0.0, 1.0, 2.0, 3.0], [0.0, 0.1, 0.2, 0.3], [0, 0, 1, 1],
+         []),
+        (1, "A_1", [0.0, 1.0, 2.0], [1.0, 1.1, 1.2], [1, 1, 2],
+         [{"kind": "death", "frequency": 2.0}]),
+        (2, "E", [0.0, 1.0], [5.0, 5.1], [2, 3],
+         [{"kind": "death", "frequency": 1.0}]),
+        (3, "A_1", [1.0, 2.0, 3.0], [2.0, 2.1, 2.5], [2, 0, 0],
+         [{"kind": "birth", "frequency": 1.0}]),
+        (4, "B_1", [3.0], [-1.0], [2], [{"kind": "birth", "frequency": 3.0}]),
+    ]
+    assert traces == seed_track(snaps)
+    raw = track(snaps, TrackOptions(enforce_no_crossing=False))
+    assert list(raw[0].lambdas) == [0.0, 0.1, 0.2, 2.5]
+    assert list(raw[3].lambdas) == [2.0, 2.1, 0.3]
+
+
+@pytest.mark.parametrize("frequencies, message", [
+    ([2.0, 1.0, 3.0, 1.0], "two snapshots at frequency 1.0"),
+    ([0.0, float("nan")], "snapshot frequency nan is not finite"),
+    ([-np.inf, 0.0], "snapshot frequency -inf is not finite"),
+])
+def test_repeated_or_nonfinite_frequencies_are_rejected(frequencies, message):
+    # a trace has one point per frequency and NaN has no place in the
+    # order; a Snapshot itself may still hold NaN (fileio round-trips one)
+    snaps = [Snapshot(f, np.array([0.0, 1.0]), np.eye(2), ("A_1", "A_1"))
+             for f in frequencies]
+    for options in (TrackOptions(), TrackOptions(use_labels=False)):
+        with pytest.raises(ValueError) as err:
+            track(snaps, options)
+        assert str(err.value) == message
+
+
+def seed_track(snapshots, options=None):
+    """The correlation assignment plus no-crossing pass that rank pairing
+    replaced on labelled sweeps, kept as its oracle."""
+    from scipy.optimize import linear_sum_assignment
+
+    options = options or TrackOptions()
+    snaps = sorted(snapshots, key=lambda s: s.frequency)
+    have_labels = options.use_labels and all(s.labels is not None
+                                             for s in snaps)
+    traces = []
+    active = {}
+
+    def open_trace(snap, k, born=False):
+        tid = len(traces)
+        tr = TrackedTrace(tid, snap.labels[k] if have_labels else None)
+        tr.points.append(TracePoint(snap.frequency, float(snap.lambdas[k]), k))
+        if born:
+            tr.events.append({"kind": "birth", "frequency": snap.frequency})
+        traces.append(tr)
+        active[tid] = k
+
+    for k in range(snaps[0].count):
+        open_trace(snaps[0], k)
+    for prev, nxt in zip(snaps, snaps[1:]):
+        prev_ids = list(active)
+        groups = {}
+        for tid in prev_ids:
+            key = traces[tid].irrep if have_labels else None
+            groups.setdefault(key, ([], []))[0].append(tid)
+        for k in range(nxt.count):
+            key = nxt.labels[k] if have_labels else None
+            if key in groups:
+                groups[key][1].append(k)
+        survivors = {}
+        for tids, cols in groups.values():
+            if not cols:
+                continue
+            aff = tracker._affinity(prev, nxt, np.array([active[t] for t in tids]),
+                                    np.array(cols), options)
+            rows, col_sel = linear_sum_assignment(aff, maximize=True)
+            for r, c in zip(rows, col_sel):
+                survivors[tids[r]] = cols[c]
+        for tid in prev_ids:
+            if tid in survivors:
+                k = survivors[tid]
+                traces[tid].points.append(
+                    TracePoint(nxt.frequency, float(nxt.lambdas[k]), k))
+                active[tid] = k
+            else:
+                traces[tid].events.append(
+                    {"kind": "death", "frequency": prev.frequency})
+                del active[tid]
+        matched = set(survivors.values())
+        for k in range(nxt.count):
+            if k not in matched:
+                open_trace(nxt, k, born=True)
+    if options.enforce_no_crossing and have_labels:
+        _seed_enforce_no_crossing(traces)
+    return traces
+
+
+def _seed_enforce_no_crossing(traces):
+    by_irrep = {}
+    for tr in traces:
+        if tr.irrep is not None:
+            by_irrep.setdefault(tr.irrep, []).append(tr)
+    for group in by_irrep.values():
+        if len(group) < 2:
+            continue
+        freqs = sorted({p.frequency for tr in group for p in tr.points})
+        point_of = [{p.frequency: p for p in tr.points} for tr in group]
+        rank_order = []
+        new_points = [[] for _ in group]
+        for f in freqs:
+            present = [i for i in range(len(group)) if f in point_of[i]]
+            if not present:
+                continue
+            pool = sorted((point_of[i][f] for i in present),
+                          key=lambda p: p.lam)
+            continuing = [i for i in rank_order if i in present]
+            newcomers = sorted((i for i in present if i not in continuing),
+                               key=lambda i: point_of[i][f].lam)
+            slots = [None] * len(pool)
+            taken = set()
+            for i in newcomers:
+                raw = point_of[i][f].lam
+                j = min((k for k in range(len(pool)) if k not in taken),
+                        key=lambda k: abs(pool[k].lam - raw))
+                slots[j] = i
+                taken.add(j)
+            free = [k for k in range(len(pool)) if slots[k] is None]
+            for k, i in zip(free, continuing):
+                slots[k] = i
+            for k, i in enumerate(slots):
+                new_points[i].append(pool[k])
+            rank_order = list(slots)
+        for i, tr in enumerate(group):
+            tr.points = new_points[i]
+
+
+#: None stands for a mode left unlabelled, which correlation matches
+_IRREPS = ("A_1", "E", "T_2", None)
+
+
+@st.composite
+def labelled_sweeps(draw, constant_counts):
+    """Snapshots of up to four irreps at distinct frequencies, in no
+    particular order, with shuffled columns, random currents and eigenvalues
+    drawn partly from a few levels, so same-irrep ties are common."""
+    size = draw(st.integers(2, 6))
+    freqs = draw(st.lists(st.floats(-5.0, 5.0), min_size=size,
+                          max_size=size, unique=True))
+    counts = st.lists(st.integers(0, 3), min_size=len(_IRREPS),
+                      max_size=len(_IRREPS))
+    fixed = draw(counts)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    snaps = []
+    for f in freqs:
+        labels = [name for name, c in zip(_IRREPS, fixed if constant_counts
+                                          else draw(counts))
+                  for _ in range(c)]
+        lam = draw(st.lists(_LAMBDAS, min_size=len(labels),
+                            max_size=len(labels)))
+        perm = rng.permutation(len(labels))
+        snaps.append(Snapshot(f, np.array(lam, dtype=float)[perm],
+                              rng.normal(size=(6, len(labels))),
+                              tuple(labels[i] for i in perm)))
+    return snaps
+
+
+def _tied(snaps, point, other):
+    """Whether two points of one frequency hold same-irrep, equal-lambda
+    modes."""
+    snap = next(s for s in snaps if s.frequency == point.frequency)
+    i, j = point.mode_index, other.mode_index
+    return (snap.labels[i] == snap.labels[j]
+            and snap.lambdas[i] == snap.lambdas[j])
+
+
+def _check_correlation_paths(snaps):
+    for options in (TrackOptions(enforce_no_crossing=False),
+                    TrackOptions(use_labels=False)):
+        assert track(snaps, options) == seed_track(snaps, options)
+
+
+_TIES = [Snapshot(1.0, np.array([1.0, 0.5, 1.0, 1.0]), np.eye(4),
+                  ("E", "A_1", "E", "E")),
+         Snapshot(0.0, np.array([1.0, 1.0, 0.0, 1.0]), np.eye(4)[:, ::-1],
+                  ("A_1", "E", "E", "E"))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(snaps=labelled_sweeps(constant_counts=True))
+@example(snaps=_TIES)
+def test_rank_pairing_matches_seed_at_constant_counts(snaps):
+    got, want = track(snaps), seed_track(snaps)
+    assert [(t.id, t.irrep, t.events) for t in got] == \
+        [(t.id, t.irrep, t.events) for t in want]
+    for tg, tw in zip(got, want):
+        assert list(tg.frequencies) == list(tw.frequencies)
+        assert list(tg.lambdas) == list(tw.lambdas)
+        for pg, pw in zip(tg.points, tw.points):
+            assert pg.mode_index == pw.mode_index or _tied(snaps, pg, pw)
+    _check_correlation_paths(snaps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(snaps=labelled_sweeps(constant_counts=False))
+def test_rank_pairing_births_and_deaths_match_seed(snaps):
+    got = track(snaps)
+
+    def events(traces):
+        return Counter((t.irrep, e["kind"], e["frequency"])
+                       for t in traces for e in t.events)
+
+    assert events(got) == events(seed_track(snaps))
+    for snap in snaps:
+        used = sorted(p.mode_index for t in got for p in t.points
+                      if p.frequency == snap.frequency)
+        assert used == list(range(snap.count))
+    for t in got:
+        for p in t.points:
+            snap = next(s for s in snaps if s.frequency == p.frequency)
+            assert snap.labels[p.mode_index] == t.irrep
+    for a in got:
+        for b in got:
+            if a.id < b.id and a.irrep == b.irrep is not None:
+                common = np.intersect1d(a.frequencies, b.frequencies)
+                la = a.lambdas[np.isin(a.frequencies, common)]
+                lb = b.lambdas[np.isin(b.frequencies, common)]
+                assert not (np.any(la > lb) and np.any(la < lb))
+    _check_correlation_paths(snaps)
