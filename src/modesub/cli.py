@@ -124,10 +124,12 @@ def cmd_chain(args) -> int:
     return 0
 
 
-def _check_k_range(args) -> None:
+def _check_k_range(args, samples: int) -> None:
     for flag in ("kmin", "kmax"):
         if not math.isfinite(getattr(args, flag)):
             raise ValueError(f"--{flag} must be finite")
+    if not (args.kmin < args.kmax or samples == 1 and args.kmin == args.kmax):
+        raise ValueError("--kmax must be above --kmin")
 
 
 def cmd_sphere(args) -> int:
@@ -138,11 +140,9 @@ def cmd_sphere(args) -> int:
     from .pointgroup import O3IrrepId
     from .sphwave import TE, TM, eigenvalue, sample_trace
 
-    _check_k_range(args)
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
-    if args.kmax < args.kmin:
-        raise ValueError("--kmax must not be below --kmin")
+    _check_k_range(args, args.steps)
     grid = np.linspace(args.kmin, args.kmax, args.steps)
     rows = []
     for t in range(1, args.tmax + 1):
@@ -175,9 +175,9 @@ def cmd_predict(args) -> int:
     from . import svgplot
     from .tracediagram import build_diagram, find_crossings, predict_avoidances
 
-    _check_k_range(args)
     if args.grid < 2:
         raise ValueError("--grid needs at least 2 samples")
+    _check_k_range(args, args.grid)
     diagram = build_diagram(args.tmax, args.kmin * np.pi, args.kmax * np.pi,
                             args.grid, args.group,
                             parity=_parity_filter(args.parity),

@@ -580,15 +580,15 @@ class ValidationReport:
         return not self.violations
 
 
-def verify_group(group: PointGroup, check_matrices: bool = True) -> ValidationReport:
+def verify_group(group: PointGroup) -> ValidationReport:
     """Check the defining invariants of a PointGroup.
 
     Returns a report listing every violation found (empty list = valid):
     closure, class partition consistency, sum of squared dimensions,
-    identity column, row and column orthogonality, and (optionally) that
-    stored irrep matrices trace to the characters and multiply like the
-    group, on all order^2 pairs.  The product table is rebuilt from the
-    element matrices, not taken from the group's cache.
+    identity column, row and column orthogonality, and that stored irrep
+    matrices trace to the characters and multiply like the group, on all
+    order^2 pairs.  The product table is rebuilt from the element matrices,
+    not taken from the group's cache.
     """
     bad = []
     g = group.order
@@ -626,19 +626,18 @@ def verify_group(group: PointGroup, check_matrices: bool = True) -> ValidationRe
     if np.abs(col - expect).max() > 1e-10:
         bad.append("column orthogonality violated")
 
-    if check_matrices:
-        for p in group.irreps:
-            if p.matrices is None:
-                continue
-            gamma = np.asarray(p.matrices)
-            off = np.abs(np.trace(gamma, axis1=1, axis2=2)
-                         - np.take(p.characters, group.class_of_element)) > 1e-8
-            if off.any():
-                bad.append(f"{p.name}: matrix trace != character at element "
-                           f"{np.argmax(off)}")
-            if not open_rows.size and np.abs(
-                    gamma[:, None] @ gamma[None] - gamma[table]).max() > 1e-8:
-                bad.append(f"{p.name}: matrices do not respect the product table")
+    for p in group.irreps:
+        if p.matrices is None:
+            continue
+        gamma = np.asarray(p.matrices)
+        off = np.abs(np.trace(gamma, axis1=1, axis2=2)
+                     - np.take(p.characters, group.class_of_element)) > 1e-8
+        if off.any():
+            bad.append(f"{p.name}: matrix trace != character at element "
+                       f"{np.argmax(off)}")
+        if not open_rows.size and np.abs(
+                gamma[:, None] @ gamma[None] - gamma[table]).max() > 1e-8:
+            bad.append(f"{p.name}: matrices do not respect the product table")
 
     return ValidationReport(group.name, tuple(bad))
 

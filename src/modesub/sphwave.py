@@ -2,7 +2,7 @@
 
 The eigenvalue of the (t, s) wave at kR = x is -num/den, a ratio of
 Riccati-Bessel terms built from scipy.special.spherical_jn/yn.  Its poles are
-the zeros of den: sign changes on a uniform scan, refined by brentq.
+the zeros of den: sign changes on a uniform scan, bisected all at once.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import spherical_jn, spherical_yn
 
 from .pointgroup import O3IrrepId, TE, TM
@@ -48,21 +47,20 @@ def spherical_bessel(kind: str, t: int, x: float) -> float:
     raise ValueError("kind must be 'j' or 'y'")
 
 
-def _riccati_pair(wave: O3IrrepId, x):
-    """Numerator and denominator of the eigenvalue at kR = x (scalar or array).
+def _riccati(wave: O3IrrepId, x, f):
+    """Eigenvalue numerator (f = spherical_yn) or denominator (spherical_jn).
 
-    TE uses (y_t, j_t); TM uses the derivative d/dx [x f_t(x)], expanded as
-    x f_{t-1}(x) - t f_t(x).  Where y_t overflows (tiny x) the TM numerator
-    takes its limit -t y_t = +inf, which dominates x y_{t-1}, instead of
-    inf - inf.
+    At kR = x (scalar or array), TE uses f_t; TM uses the derivative
+    d/dx [x f_t(x)], expanded as x f_{t-1}(x) - t f_t(x).  Where y_t overflows
+    (tiny x) the TM numerator takes its limit -t y_t = +inf, which dominates
+    x y_{t-1}, instead of inf - inf.
     """
     t = wave.t
-    y = spherical_yn(t, x)
+    ft = f(t, x)
     if wave.s == TE:
-        return y, spherical_jn(t, x)
+        return ft
     with np.errstate(invalid="ignore"):
-        num = np.where(np.isinf(y), -t * y, x * spherical_yn(t - 1, x) - t * y)
-    return num, x * spherical_jn(t - 1, x) - t * spherical_jn(t, x)
+        return np.where(np.isinf(ft), -t * ft, x * f(t - 1, x) - t * ft)
 
 
 def _ratio(num, den) -> np.ndarray:
@@ -87,7 +85,8 @@ def eigenvalue(wave: O3IrrepId, kR: float) -> float:
     (-inf) or above (+inf) of the pole.
     """
     check_kr(kR)
-    return float(_ratio(*_riccati_pair(wave, kR)))
+    return float(_ratio(_riccati(wave, kR, spherical_yn),
+                        _riccati(wave, kR, spherical_jn)))
 
 
 @dataclass(frozen=True)
@@ -127,8 +126,9 @@ def poles(wave: O3IrrepId, lo: float, hi: float) -> list[float]:
     """Eigenvalue poles (denominator zeros) inside [lo, hi], in kR units.
 
     The interval is scanned at POLE_SCAN_DENSITY points per unit of kR/pi.
-    Exact zeros on the scan are kept as they are; each sign change between
-    neighbours is refined by brentq to POLE_BISECTION_TOL.
+    Exact zeros on the scan are kept as they are; all sign changes between
+    neighbours are bisected together, by a halving count fixed from the scan
+    step: above kR ~ 1e6 no bracket narrows to POLE_BISECTION_TOL.
     """
     check_kr(np.array([lo, hi]))
     if not lo < hi:
@@ -136,15 +136,15 @@ def poles(wave: O3IrrepId, lo: float, hi: float) -> list[float]:
     step = math.pi / POLE_SCAN_DENSITY
     count = max(2, int(math.ceil((hi - lo) / step)) + 1)
     xs = np.linspace(lo, hi, count)
-    den = _riccati_pair(wave, xs)[1]
-    found = []
-    for i in np.flatnonzero((den[:-1] == 0.0) | (den[:-1] * den[1:] < 0.0)):
-        a = float(xs[i])
-        if den[i] == 0.0:
-            found.append(a)
-        else:
-            found.append(brentq(lambda x: _riccati_pair(wave, x)[1], a,
-                                float(xs[i + 1]), xtol=POLE_BISECTION_TOL))
+    den = _riccati(wave, xs, spherical_jn)
+    i = np.flatnonzero((den[:-1] == 0.0) | (den[:-1] * den[1:] < 0.0))
+    a, fa = xs[i], den[i]
+    b = np.where(fa == 0.0, a, xs[i + 1])      # an exact zero stays put
+    for _ in range(i.size and math.ceil(math.log2(step / POLE_BISECTION_TOL))):
+        mid = 0.5 * (a + b)
+        up = np.sign(_riccati(wave, mid, spherical_jn)) == np.sign(fa)
+        a, b = np.where(up, mid, a), np.where(up, b, mid)
+    found = (0.5 * (a + b)).tolist()
     if den[-1] == 0.0:
         found.append(float(xs[-1]))
     return found
@@ -160,9 +160,12 @@ def _sample_with_poles(wave: O3IrrepId, kr: np.ndarray):
     check_kr(kr)
     if kr.ndim != 1 or len(kr) < 2 or np.any(np.diff(kr) <= 0):
         raise ValueError("kr must be a strictly increasing 1-d grid")
-    lam = _ratio(*_riccati_pair(wave, kr))
+    lam = _ratio(_riccati(wave, kr, spherical_yn),
+                 _riccati(wave, kr, spherical_jn))
+    # j_t underflows to exact zeros below 1e-12; no pole lies below kR ~ 2.74
     pad = float(kr[1] - kr[0])
-    found = poles(wave, max(float(kr[0]) - pad, 1e-12), float(kr[-1]) + pad)
+    lo, hi = max(float(kr[0]) - pad, 1e-12), float(kr[-1]) + pad
+    found = poles(wave, lo, hi) if lo < hi else []
     adjacent = ~np.isfinite(lam)
     i = np.searchsorted(kr, found)
     for k in (i - 1, i):

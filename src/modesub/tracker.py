@@ -30,14 +30,13 @@ DEFAULT_GAP_THRESHOLD = 1.0
 
 @dataclass(frozen=True, eq=False)
 class Snapshot:
-    """Modes of one frequency point: eigenvalues with optional currents,
-    irrep labels and correlation weight matrix."""
+    """Modes of one frequency point: eigenvalues with optional currents
+    and irrep labels."""
 
     frequency: float
     lambdas: np.ndarray
     vectors: np.ndarray | None = None
     labels: tuple | None = None
-    weight: np.ndarray | None = None
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -84,7 +83,6 @@ class TrackedTrace:
 class TrackOptions:
     use_labels: bool = True
     enforce_no_crossing: bool = True
-    weight: np.ndarray | None = None
 
 
 def correlation(v_prev: np.ndarray, v_next: np.ndarray,
@@ -101,10 +99,9 @@ def correlation(v_prev: np.ndarray, v_next: np.ndarray,
     return np.abs(gram) / np.outer(n_prev, n_next)
 
 
-def _affinity(prev: Snapshot, nxt: Snapshot, pi, ni, options: TrackOptions):
+def _affinity(prev: Snapshot, nxt: Snapshot, pi, ni):
     if prev.vectors is not None and nxt.vectors is not None:
-        w = options.weight if options.weight is not None else prev.weight
-        return correlation(prev.vectors[:, pi], nxt.vectors[:, ni], w)
+        return correlation(prev.vectors[:, pi], nxt.vectors[:, ni])
     a = prev.lambdas[pi][:, None]
     b = nxt.lambdas[ni][None, :]
     return -np.abs(a - b)
@@ -174,7 +171,7 @@ def track(snapshots, options: TrackOptions | None = None) -> list:
             # constant, and importing tracker or fileio, load no scipy
             from scipy.optimize import linear_sum_assignment
             pi = np.array([active[t] for t in g_tids])
-            aff = _affinity(prev, nxt, pi, np.array(g_cols), options)
+            aff = _affinity(prev, nxt, pi, np.array(g_cols))
             rows, sel = linear_sum_assignment(aff, maximize=True)
             if rank:
                 # the matching only picks who ends and who is born; the

@@ -33,6 +33,22 @@ def run(capsys, *args):
     return code, out, err
 
 
+def run_fresh(script, *argv, **env):
+    """Stdout lines of `script` run with `argv` in a fresh interpreter, as
+    every command runs, on the same package as this process, installed or
+    not.  Each keyword sets an environment variable; None unsets it."""
+    full = dict(os.environ,
+                PYTHONPATH=os.path.dirname(os.path.dirname(modesub.__file__)))
+    for name, value in env.items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
+    res = subprocess.run([sys.executable, "-c", script, *argv], env=full,
+                         capture_output=True, text=True, check=True)
+    return res.stdout.splitlines()
+
+
 def symmetric_problem(tmp_path, group="C_4v"):
     """Write an action file plus X, R matrices whose modes classify exactly.
 
@@ -264,19 +280,11 @@ def test_thread_env_defaulting():
         "print('RESULT', code, os.environ['OMP_NUM_THREADS'],\n"
         "      os.environ['OPENBLAS_NUM_THREADS'])\n"
     )
-    # the child imports the same package as this process, installed or not
-    pkg_root = os.path.dirname(os.path.dirname(modesub.__file__))
-    env = dict(os.environ, MODESUB_THREADS="3", PYTHONPATH=pkg_root)
-    env.pop("OMP_NUM_THREADS", None)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    res = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert res.stdout.splitlines()[-1] == "RESULT 0 3 3"
+    assert run_fresh(script, MODESUB_THREADS="3", OMP_NUM_THREADS=None,
+                     OPENBLAS_NUM_THREADS=None)[-1] == "RESULT 0 3 3"
     # an explicit setting wins over the package default
-    env["OMP_NUM_THREADS"] = "7"
-    res = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert res.stdout.splitlines()[-1] == "RESULT 0 7 3"
+    assert run_fresh(script, MODESUB_THREADS="3", OMP_NUM_THREADS="7",
+                     OPENBLAS_NUM_THREADS=None)[-1] == "RESULT 0 7 3"
 
 
 def test_solve_and_classify_load_no_scipy():
@@ -309,12 +317,24 @@ def test_solve_and_classify_load_no_scipy():
         "                                modes.eigencurrents, labels)])\n"
         "print('OPTIMIZE', 'scipy.optimize' in sys.modules)\n"
     )
-    pkg_root = os.path.dirname(os.path.dirname(modesub.__file__))
-    env = dict(os.environ, PYTHONPATH=pkg_root)
-    res = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert res.stdout.splitlines()[-3:] == ["GROUPS []", "SCIPY []",
-                                            "OPTIMIZE False"]
+    assert run_fresh(script)[-3:] == ["GROUPS []", "SCIPY []",
+                                      "OPTIMIZE False"]
+
+
+def test_predict_and_sphere_load_no_scipy_optimize(tmp_path):
+    # the pole bisection runs on numpy; only scipy.special is needed
+    script = (
+        "import sys\n"
+        "from modesub.cli import main\n"
+        "assert main(['predict', '--group', 'O_h', '--tmax', '3',\n"
+        "             '--out', sys.argv[1]]) == 0\n"
+        "assert main(['sphere', '--tmax', '3', '--kmin', '0.05', '--kmax',\n"
+        "             '2', '--steps', '50', '--out', sys.argv[2]]) == 0\n"
+        "print('SCIPY', 'scipy.special' in sys.modules,\n"
+        "      'scipy.optimize' in sys.modules)\n"
+    )
+    assert run_fresh(script, str(tmp_path / "p.json"),
+                     str(tmp_path / "s.csv")) == ["SCIPY True False"]
 
 
 def write_labelled_snapshots(snapdir, frequencies):
@@ -340,12 +360,7 @@ def test_track_loads_scipy_optimize_only_to_assign(tmp_path, flag):
         "                 '--out', sys.argv[3]] + extra) == 0\n"
         "    print('OPTIMIZE', 'scipy.optimize' in sys.modules)\n"
     )
-    pkg_root = os.path.dirname(os.path.dirname(modesub.__file__))
-    env = dict(os.environ, PYTHONPATH=pkg_root)
-    res = subprocess.run([sys.executable, "-c", script, flag, str(snapdir),
-                          str(tmp_path / "traces.json")], env=env,
-                         capture_output=True, text=True, check=True)
-    lines = res.stdout.splitlines()
+    lines = run_fresh(script, flag, str(snapdir), str(tmp_path / "traces.json"))
     assert lines[0] == f"3 traces, 1 avoidance signatures -> " \
                        f"{tmp_path / 'traces.json'}"
     assert lines[1::2] == ["OPTIMIZE False", "OPTIMIZE True"]
@@ -446,6 +461,30 @@ def test_nonfinite_k_range_is_a_data_error(capsys, flag, args):
         code, out, err = run(capsys, *args)
     assert code == 2 and out == ""
     assert err == f"error: {flag} must be finite\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("predict", "--group", "O_h", "--tmax", "2", "--kmin", "1", "--kmax", "1"),
+    ("predict", "--group", "O_h", "--tmax", "2", "--kmin", "2", "--kmax", "1"),
+    ("sphere", "--tmax", "1", "--kmin", "1", "--kmax", "1", "--steps", "3"),
+    ("sphere", "--tmax", "1", "--kmin", "2", "--kmax", "1", "--steps", "1"),
+])
+def test_empty_k_range_is_a_data_error(capsys, args):
+    # equal bounds pass only with --steps 1 (test_sphere_pole_cells_empty)
+    assert run(capsys, *args) == (2, "", "error: --kmax must be above --kmin\n")
+
+
+def test_sphere_at_tiny_kr(capsys):
+    # the grid's padded pole window lies wholly below the scan floor
+    code, out, err = run(capsys, "sphere", "--tmax", "1", "--kmin", "1e-14",
+                         "--kmax", "1e-13", "--steps", "2")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[:3] for r in rows] == [["1e-14", "1", "1"], ["1e-14", "1", "2"],
+                                     ["1e-13", "1", "1"], ["1e-13", "1", "2"]]
+    # the overflowing samples are blank and flagged; the rest are finite
+    assert [(r[3], r[4]) for r in rows[:2]] == [("", "1"), ("", "1")]
+    assert all(r[3] and r[4] == "0" for r in rows[2:])
 
 
 @pytest.mark.parametrize("key, value", [

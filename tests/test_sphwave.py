@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.optimize import brentq
@@ -172,9 +172,16 @@ def test_tm_poles_match_scipy_zero_scan():
 
 def test_poles_keep_exact_scan_zeros(monkeypatch):
     # a denominator that vanishes exactly on both scan end points
-    monkeypatch.setattr(sphwave, "_riccati_pair",
-                        lambda wave, x: (1.0, (x - 1.0) * (x - 2.0)))
+    monkeypatch.setattr(sphwave, "_riccati",
+                        lambda wave, x, f: (x - 1.0) * (x - 2.0))
     assert poles(O3IrrepId(1, TE), 1.0, 2.0) == [1.0, 2.0]
+
+
+def test_tiny_kr_window_has_no_pole_scan():
+    # the padded scan window lies below the 1e-12 floor: nothing to scan
+    lam, near = sample_trace(O3IrrepId(1, TE), np.array([1e-13, 2e-13]))
+    assert lam.tolist() == [math.inf, math.inf]
+    assert near.tolist() == [True, True]
 
 
 def test_mode_index_round_trip():
@@ -252,6 +259,64 @@ def test_sample_trace_full_diagram_grid_matches_scipy():
             total_poles += len(got)
             total_ref += len(ref_poles)
     assert total_poles == total_ref == 7
+
+
+def seed_poles(wave, lo, hi):
+    """The brentq pole finder sphwave.poles replaced, kept as its oracle."""
+    den = lambda x: _scipy_riccati(wave.t, wave.s, x)[1]
+    step = math.pi / sphwave.POLE_SCAN_DENSITY
+    count = max(2, int(math.ceil((hi - lo) / step)) + 1)
+    xs = np.linspace(lo, hi, count)
+    vals = den(xs)
+    found = []
+    for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
+        if vals[i] == 0.0:
+            found.append(float(xs[i]))
+        else:
+            found.append(brentq(den, float(xs[i]), float(xs[i + 1]),
+                                xtol=sphwave.POLE_BISECTION_TOL))
+    if vals[-1] == 0.0:
+        found.append(float(xs[-1]))
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([TE, TM]),
+       st.floats(1e-3, 60.0), st.floats(1e-3, 60.0))
+def test_poles_match_brentq_oracle(t, s, a, b):
+    lo, hi = min(a, b), max(a, b)
+    assume(lo < hi)
+    wave = O3IrrepId(t, s)
+    got, want = poles(wave, lo, hi), seed_poles(wave, lo, hi)
+    assert len(got) == len(want)
+    assert np.all(np.abs(np.subtract(got, want))
+                  <= 2 * sphwave.POLE_BISECTION_TOL)
+
+
+def test_pole_bisection_ends_at_large_kr(monkeypatch):
+    # one ulp of 1e7 exceeds POLE_BISECTION_TOL: a fixed halving count, not
+    # a bracket width, must end the refinement
+    calls = []
+    riccati = sphwave._riccati
+
+    def counted(wave, x, f):
+        calls.append(f)
+        return riccati(wave, x, f)
+
+    monkeypatch.setattr(sphwave, "_riccati", counted)
+    wave = O3IrrepId(1, TE)
+    got = poles(wave, 1e7, 1e7 + 4.0)
+    halvings = math.ceil(math.log2(math.pi / sphwave.POLE_SCAN_DENSITY
+                                   / sphwave.POLE_BISECTION_TOL))
+    assert halvings == 23
+    assert calls == [special.spherical_jn] * (1 + halvings)
+    want = seed_poles(wave, 1e7, 1e7 + 4.0)
+    assert len(got) == len(want) == 1
+    assert abs(got[0] - want[0]) <= 2 * sphwave.POLE_BISECTION_TOL \
+        + 4 * np.spacing(1e7)
+    # a scan with no sign change runs no halvings
+    calls.clear()
+    assert poles(wave, 1.0, 2.0) == [] and len(calls) == 1
 
 
 def _scalar_pole_rule(num, den):

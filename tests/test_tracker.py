@@ -469,7 +469,7 @@ def seed_track(snapshots, options=None):
             if not cols:
                 continue
             aff = tracker._affinity(prev, nxt, np.array([active[t] for t in tids]),
-                                    np.array(cols), options)
+                                    np.array(cols))
             rows, col_sel = linear_sum_assignment(aff, maximize=True)
             for r, c in zip(rows, col_sel):
                 survivors[tids[r]] = cols[c]
