@@ -228,17 +228,14 @@ def cmd_predict(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .cmsolver import ImpedancePair, classify_modes, solve_cm
+    from .cmsolver import ImpedancePair, solve_cm
     from .fileio import load_action_json, load_matrix, save_modes_json
 
-    x = load_matrix(args.x)
-    r = load_matrix(args.r)
-    pair = ImpedancePair(x, r, frequency=args.frequency)
-    modes = solve_cm(pair, rank_tolerance=args.rank_tolerance)
-    labels = None
-    if args.action:
-        labels = classify_modes(modes, load_action_json(args.action)).labels
-    save_modes_json(args.out, modes, labels=labels)
+    pair = ImpedancePair(load_matrix(args.x), load_matrix(args.r),
+                         frequency=args.frequency)
+    action = load_action_json(args.action) if args.action else None
+    modes = solve_cm(pair, args.rank_tolerance, action)
+    save_modes_json(args.out, modes)
     print(f"{modes.count} modes (rank {modes.rank}) -> {args.out}")
     return 0
 
@@ -404,16 +401,28 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: numeric flags, the test each value must pass, and the rule it states;
+#: comparisons with NaN are false, so NaN fails every test
+_NUMERIC_FLAGS = (
+    ("rank_tolerance", lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    ("gap_threshold", lambda v: 0.0 < v < math.inf, "must be positive and finite"),
+    ("jump_threshold", lambda v: 0.0 < v < math.inf, "must be positive and finite"),
+    ("frequency", math.isfinite, "must be finite"),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if any(getattr(args, name, 1.0) <= 0
-           for name in ("rank_tolerance", "gap_threshold", "jump_threshold")):
-        print("error: tolerance flags must be positive", file=sys.stderr)
-        return 1
+    for name, ok, rule in _NUMERIC_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            print(f"error: --{name.replace('_', '-')} {rule}, not {value}",
+                  file=sys.stderr)
+            return 1
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -429,4 +438,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

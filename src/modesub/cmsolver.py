@@ -21,6 +21,9 @@ DEFAULT_CLUSTER_TOLERANCE = 1e-6
 
 SYMMETRY_TOLERANCE = 1e-8
 PSD_TOLERANCE = 1e-10
+#: largest coupling between irrep blocks, relative to |M|_F, of an X or R
+#: solved with an action; group-averaged input reads about 1e-8 from rounding
+INVARIANCE_TOLERANCE = 1e-6
 
 
 class RIndefiniteError(ValueError):
@@ -94,30 +97,73 @@ class ModeSet:
 
 
 def solve_cm(pair: ImpedancePair,
-             rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> ModeSet:
+             rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
+             action: GroupAction | None = None) -> ModeSet:
     """Solve X I = lambda R I on the numerically significant range of R.
 
     R is spectrally decomposed; eigendirections below
     rank_tolerance * max(eig) are dropped, the problem is transformed to an
     ordinary symmetric one on the retained subspace, and eigencurrents are
     mapped back (R-orthonormal by construction).
+
+    With an action, X and R must be invariant under it, and the problem is
+    solved on Q_p^T X Q_p, Q_p^T R Q_p per column block Q_p of its adapted
+    basis, labelling each mode with its block's irrep.  Modes are merged in
+    ascending order, ties in character-table order.
     """
-    w, u = np.linalg.eigh(pair.R)
-    wmax = float(w.max()) if len(w) else 0.0
+    if not 0.0 < rank_tolerance < 1.0:
+        raise ValueError(f"rank_tolerance must lie in (0, 1), not "
+                         f"{rank_tolerance}")
+    names, qs, xs, rs = (([None], [None], [pair.X], [pair.R]) if action is None
+                         else _irrep_blocks(pair, action))
+    spectra = [np.linalg.eigh(r) for r in rs]
+    spectrum = np.concatenate([w for w, _ in spectra])
+    wmax = float(spectrum.max()) if len(spectrum) else 0.0
     if wmax <= 0.0:
         raise RIndefiniteError("R has no positive spectrum")
-    if float(w.min()) < -PSD_TOLERANCE * wmax:
+    if float(spectrum.min()) < -PSD_TOLERANCE * wmax:
         raise RIndefiniteError(
-            f"R has a significantly negative eigenvalue ({w.min():.3e} against "
-            f"largest {wmax:.3e})")
-    keep = w > rank_tolerance * wmax
-    rank = int(np.count_nonzero(keep))
-    basis = u[:, keep] / np.sqrt(w[keep])
-    reduced = basis.T @ pair.X @ basis
-    reduced = (reduced + reduced.T) / 2.0
-    lam, y = np.linalg.eigh(reduced)
-    currents = basis @ y
-    return ModeSet(_frozen(lam), _frozen(currents), rank, pair.frequency)
+            f"R has a significantly negative eigenvalue ({spectrum.min():.3e} "
+            f"against largest {wmax:.3e})")
+    lams, currents = [], []
+    for q, x, (w, u) in zip(qs, xs, spectra):
+        keep = w > rank_tolerance * wmax
+        basis = u[:, keep] / np.sqrt(w[keep])
+        reduced = basis.T @ x @ basis
+        reduced = (reduced + reduced.T) / 2.0
+        lam, y = np.linalg.eigh(reduced)
+        lams.append(lam)
+        currents.append(basis @ y if q is None else q @ (basis @ y))
+    if action is None:
+        return ModeSet(_frozen(lam), _frozen(currents[0]), len(lam), pair.frequency)
+    lam = np.concatenate(lams)
+    order = np.argsort(lam, kind="stable")
+    labels = np.repeat(names, [len(k) for k in lams])[order].tolist()
+    return ModeSet(_frozen(lam[order]), _frozen(np.hstack(currents)[:, order]),
+                   len(lam), pair.frequency, tuple(labels))
+
+
+def _irrep_blocks(pair: ImpedancePair, action: GroupAction):
+    """Irrep names, nonempty column blocks Q_p of the adapted basis, and
+    Q_p^T X Q_p, Q_p^T R Q_p.  As Q is orthonormal, sum_p |M Q_p|^2 -
+    |Q_p^T M Q_p|^2 is the squared coupling of M between blocks."""
+    if action.dimension != pair.size:
+        raise ValueError("action dimension does not match X and R")
+    basis = action.adapted_basis
+    cuts = zip(action.group.irreps, basis.offsets[:-1], basis.offsets[1:])
+    names, qs = zip(*[(p.name, basis.q[:, a:b]) for p, a, b in cuts if b > a])
+    blocks = []
+    for name in ("X", "R"):
+        m = getattr(pair, name)
+        mqs = [m @ q for q in qs]
+        blocks.append([q.T @ mq for q, mq in zip(qs, mqs)])
+        off = sum(np.vdot(mq, mq) - np.vdot(b, b)
+                  for mq, b in zip(mqs, blocks[-1]))
+        if off > (INVARIANCE_TOLERANCE * np.linalg.norm(m)) ** 2:
+            raise ValueError(f"{name} is not invariant under the {action.group.name}"
+                             f" action (coupling between irrep blocks "
+                             f"{np.sqrt(off) / np.linalg.norm(m):.3e} of |{name}|)")
+    return names, qs, *blocks
 
 
 def _cluster_slices(eigenvalues: np.ndarray, tol: float):
@@ -135,21 +181,6 @@ class ModeClassification:
     labels: tuple               # one irrep name per mode, input order
     weights: tuple              # one {irrep: weight} dict per mode
     clusters: tuple             # (start, stop) index pairs
-    parities: tuple | None = None
-
-
-def _cluster_bases(currents: np.ndarray, clusters) -> np.ndarray:
-    """Orthonormal basis of each cluster's span, in the cluster's columns;
-    one batched QR per cluster size."""
-    q = np.empty_like(currents)
-    by_size = {}
-    for start, stop in clusters:
-        by_size.setdefault(stop - start, []).append(start)
-    for size, starts in by_size.items():
-        cols = np.array(starts)[:, None] + np.arange(size)      # (k, size)
-        blocks = np.linalg.qr(currents[:, cols].transpose(1, 0, 2))[0]
-        q[:, cols] = blocks.transpose(1, 0, 2)
-    return q
 
 
 def classify_modes(modes: ModeSet, action: GroupAction,
@@ -157,45 +188,16 @@ def classify_modes(modes: ModeSet, action: GroupAction,
                    ) -> ModeClassification:
     """Attach irrep labels to a ModeSet using a group action.
 
-    Everything is read off the action's cached symmetry-adapted basis Q,
-    whose column blocks Q_p span the irrep subspaces: Q^T V with the
-    eigencurrents V gives each mode's weights |Q_p^T v| / |v| = |P_p v| / |v|
-    (`irrep_weights`), and Q^T C with an orthonormal basis C of every
-    cluster gives each cluster's projected traces.  A tie in weight goes to
-    the irrep that comes first in the character table.
-
-    Degenerate modes are classified jointly: the multiplicity of each irrep
-    inside a cluster is its projected trace, rounded.  When the per-mode
-    dominant irreps form that multiset, each mode keeps its dominant label.
-    Otherwise the cluster's labels are the traced multiset in character-table
-    order, assigned to its modes by position, so the multiset is exact but a
-    label need not match its vector.  If the traces do not round to the
-    cluster size, the per-mode dominants are used.
+    A mode's label is its heaviest irrep in `irrep_weights`, a tie going to
+    the first in the character table.  In a degenerate cluster that mixes
+    irreps a mode may itself be mixed; `solve_cm` with the action gives
+    modes whose labels are exact by construction.
     """
     if action.dimension != modes.eigencurrents.shape[0]:
         raise ValueError("action dimension does not match the eigencurrents")
-    currents = modes.eigencurrents
-    weights = irrep_weights(currents, action)           # (irreps, modes)
-    clusters = _cluster_slices(modes.eigenvalues, cluster_tolerance)
-    norms2 = action.adapted_basis.projected_norms2(
-        _cluster_bases(currents, clusters))
+    weights = irrep_weights(modes.eigencurrents, action)     # (irreps, modes)
     names = [p.name for p in action.group.irreps]
-    dominant = [names[i] for i in np.argmax(weights, axis=0).tolist()]
-    starts = np.array([a for a, _ in clusters], dtype=int)
-    # projected trace of each irrep over each cluster, rounded to a count
-    counts = np.rint(np.add.reduceat(norms2, starts, axis=1))
-    labels = []
-    for (start, stop), count in zip(clusters, counts.astype(int).T.tolist()):
-        expanded = [name for name, k in zip(names, count) for _ in range(k)]
-        per_mode = dominant[start:stop]
-        if len(expanded) != stop - start:
-            # weight did not split integrally across the cluster; fall back to
-            # per-mode dominant labels
-            expanded = per_mode
-        elif sorted(per_mode) == sorted(expanded):
-            expanded = per_mode
-        labels.extend(expanded)
     return ModeClassification(
-        tuple(labels),
+        tuple(names[i] for i in np.argmax(weights, axis=0).tolist()),
         tuple(dict(zip(names, col)) for col in weights.T.tolist()),
-        tuple(clusters))
+        tuple(_cluster_slices(modes.eigenvalues, cluster_tolerance)))

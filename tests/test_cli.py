@@ -12,7 +12,8 @@ import modesub
 from modesub import fileio
 from modesub.cli import main
 from modesub.pointgroup import builtin_group
-from modesub.symaction import action_from_points, orbit_points, projector
+from modesub.symaction import (action_from_points, orbit_points,
+                               project_columns, projector)
 
 from group_helpers import dense_operators
 
@@ -178,6 +179,74 @@ def test_solve_with_labels(capsys, tmp_path):
         assert lab == inverse[round(float(lam), 6)]
 
 
+def test_solve_labels_a_mixed_cluster_exactly(capsys, tmp_path):
+    # C_4v, dof 1, two orbits, X = P_B1 + 2 P_E, R = I: the 6 modes at
+    # lambda = 0 span A_1, A_2 and B_2, which a dense solve mixes
+    g = builtin_group("C_4v")
+    pts = np.vstack([orbit_points(g, np.array(s))
+                     for s in ((1.0, 0.4, 0.3), (0.7, 0.2, 0.5))])
+    act = action_from_points(g, pts, dof=1)
+    fileio.save_action_json(tmp_path / "action.json", act)
+    fileio.save_matrix_csv(tmp_path / "x.csv", projector(act, "B_1")
+                           + 2.0 * projector(act, "E"))
+    fileio.save_matrix_csv(tmp_path / "r.csv", np.eye(act.dimension))
+    out_path = tmp_path / "modes.json"
+    code, out, _ = run(capsys, "solve", "--x", str(tmp_path / "x.csv"),
+                       "--r", str(tmp_path / "r.csv"), "--out", str(out_path),
+                       "--action", str(tmp_path / "action.json"))
+    assert (code, out) == (0, f"16 modes (rank 16) -> {out_path}\n")
+    snap = fileio.load_modes_json(out_path)
+    assert sorted(snap.labels) == ["A_1"] * 2 + ["A_2"] * 2 + ["B_1"] * 2 \
+        + ["B_2"] * 2 + ["E"] * 8
+    for k, rep in enumerate(project_columns(snap.vectors, act)):
+        assert rep.weights[snap.labels[k]] >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("bad", ["X", "R"])
+def test_solve_rejects_matrices_the_action_does_not_leave_invariant(
+        capsys, tmp_path, bad):
+    act, _ = symmetric_problem(tmp_path)
+    n = act.dimension
+    a = np.random.default_rng(3).normal(size=(n, n))
+    path = tmp_path / f"{bad.lower()}.csv"
+    fileio.save_matrix_csv(path, a + a.T if bad == "X"
+                           else np.eye(n) + 1e-3 * a @ a.T)
+    out_path = tmp_path / "modes.json"
+    code, out, err = run(capsys, "solve", "--x", str(tmp_path / "x.csv"),
+                         "--r", str(tmp_path / "r.csv"), "--out", str(out_path),
+                         "--action", str(tmp_path / "action.json"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad} is not invariant under the C_4v "
+                          f"action (coupling between irrep blocks ")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--rank-tolerance", "nan", "must lie in (0, 1)"),
+    ("--rank-tolerance", "inf", "must lie in (0, 1)"),
+    ("--rank-tolerance", "1", "must lie in (0, 1)"),
+    ("--rank-tolerance", "0", "must lie in (0, 1)"),
+    ("--frequency", "nan", "must be finite"),
+    ("--frequency", "-inf", "must be finite"),
+    ("--gap-threshold", "nan", "must be positive and finite"),
+    ("--jump-threshold", "nan", "must be positive and finite"),
+    ("--jump-threshold", "-1", "must be positive and finite"),
+])
+def test_numeric_flags_out_of_range_are_usage_errors(capsys, tmp_path, flag,
+                                                     value, rule):
+    symmetric_problem(tmp_path)
+    out_path = tmp_path / "out.json"
+    command = (["solve", "--x", str(tmp_path / "x.csv"),
+                "--r", str(tmp_path / "r.csv")]
+               if flag in ("--rank-tolerance", "--frequency")
+               else ["track", "--snapshots", str(tmp_path)])
+    code, out, err = run(capsys, *command, "--out", str(out_path),
+                         f"{flag}={value}")
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} {rule}, not {float(value)}\n"
+    assert not out_path.exists()
+
+
 def test_classify_json_with_parity(capsys, tmp_path):
     act, _ = symmetric_problem(tmp_path)
     rng = np.random.default_rng(6)
@@ -287,6 +356,27 @@ def test_thread_env_defaulting():
                      OPENBLAS_NUM_THREADS=None)[-1] == "RESULT 0 7 3"
 
 
+def test_python_m_modesub_honours_the_thread_cap():
+    # `python -m modesub` runs the console script's entry point
+    script = (
+        "import os, runpy, sys\n"
+        "sys.argv = ['modesub', 'tables', '--group', 'Oh']\n"
+        "try:\n"
+        "    runpy.run_module('modesub', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print('RESULT', exc.code, os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    lines = run_fresh(script, MODESUB_THREADS="2", OPENBLAS_NUM_THREADS=None)
+    assert (lines[0], lines[-1]) == ("O_h (order 48)", "RESULT 0 2")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(modesub.__file__)))
+    res = subprocess.run([sys.executable, "-m", "modesub", "tables",
+                          "--group", "Oh"], env=env, capture_output=True,
+                         text=True)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines() == lines[:-1]
+
+
 def test_solve_and_classify_load_no_scipy():
     # a fresh interpreter, as every command runs in: the group build and
     # check load neither scipy nor numpy's random and masked-array modules,
@@ -311,6 +401,8 @@ def test_solve_and_classify_load_no_scipy():
         "modes = cmsolver.solve_cm(cmsolver.ImpedancePair(\n"
         "    (x + x.T) / 2, np.eye(act.dimension)))\n"
         "labels = cmsolver.classify_modes(modes, act).labels\n"
+        "cmsolver.solve_cm(cmsolver.ImpedancePair(\n"
+        "    (x + x.T) / 2, np.eye(act.dimension)), action=act)\n"
         "print('SCIPY', sorted(m for m in sys.modules\n"
         "                      if m.partition('.')[0] == 'scipy'))\n"
         "tracker.track([tracker.Snapshot(1.0, modes.eigenvalues,\n"

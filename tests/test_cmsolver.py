@@ -17,6 +17,7 @@ from modesub.symaction import (
     CLASSIFY_THRESHOLD,
     action_from_operators,
     action_from_points,
+    irrep_weights,
     orbit_points,
     project_columns,
     projector,
@@ -225,10 +226,13 @@ def seed_project(v, group, projs):
 
 
 def seed_classify_modes(modes, group, operators, cluster_tolerance=1e-6):
+    """Labels, weights and per-mode dominant irreps as the seed computed
+    them; the labels of a mixed cluster are its traced irrep multiset."""
     projs = {p.name: seed_projector(group, operators, p.name)
              for p in group.irreps}
     labels = [None] * modes.count
     weights = [None] * modes.count
+    dominants = []
     clusters = _cluster_slices(modes.eigenvalues, cluster_tolerance)
     for start, stop in clusters:
         block = modes.eigencurrents[:, start:stop]
@@ -243,6 +247,7 @@ def seed_classify_modes(modes, group, operators, cluster_tolerance=1e-6):
             weights[k], dominant = seed_project(modes.eigencurrents[:, k],
                                                 group, projs)
             per_mode.append(dominant)
+        dominants.extend(per_mode)
         expanded = []
         for p in group.irreps:
             expanded.extend([p.name] * counts.get(p.name, 0))
@@ -252,7 +257,31 @@ def seed_classify_modes(modes, group, operators, cluster_tolerance=1e-6):
             expanded = per_mode
         for k, name in zip(range(start, stop), expanded):
             labels[k] = name
-    return tuple(labels), tuple(weights)
+    return tuple(labels), tuple(weights), tuple(dominants)
+
+
+def assert_labels_are_dominants(labels, dominants, weights):
+    """Each label is the seed's dominant irrep of its mode; a mode whose two
+    leading weights tie within rounding (R = I can give exact 1/sqrt(2)
+    splits) may take either tied irrep."""
+    for label, dominant, w in zip(labels, dominants, weights):
+        top = sorted(w.values())[-2:]
+        if len(top) == 2 and top[1] - top[0] <= 1e-12:
+            assert w[label] >= top[1] - 1e-12
+        else:
+            assert label == dominant
+
+
+def assert_block_solve_labels(pair, act, group, operators, seed_labels):
+    """solve_cm with the action gives the seed's label multiset, with every
+    mode pure in its label by the seed's dense projectors."""
+    modes = solve_cm(pair, action=act)
+    assert sorted(modes.labels) == sorted(seed_labels)
+    projs = {p.name: seed_projector(group, operators, p.name)
+             for p in group.irreps}
+    for k, label in enumerate(modes.labels):
+        weights, _ = seed_project(modes.eigencurrents[:, k], group, projs)
+        assert weights[label] >= 1.0 - 1e-10
 
 
 @pytest.mark.parametrize("name, dof, kind", [
@@ -287,16 +316,18 @@ def test_classification_matches_seed_oracle(name, dof, kind):
         x = sum(lv * projector(act, p.name) for lv, p in zip(levels, g.irreps))
     if kind == "forced, R = I":
         r = np.eye(n)
-    modes = solve_cm(ImpedancePair(x, r))
+    pair = ImpedancePair(x, r)
+    modes = solve_cm(pair)
     cls = classify_modes(modes, act)
-    labels, weights = seed_classify_modes(modes, g, ops)
-    assert cls.labels == labels
+    labels, weights, dominants = seed_classify_modes(modes, g, ops)
+    assert_labels_are_dominants(cls.labels, dominants, weights)
     if kind != "random":
         assert any(len({labels[k] for k in range(a, b)}) > 1
                    for a, b in cls.clusters)
     for got, ref in zip(cls.weights, weights):
         assert list(got) == list(ref)
         assert max(abs(got[k] - ref[k]) for k in ref) < 1e-12
+    assert_block_solve_labels(pair, act, g, ops, labels)
 
 
 # orbit seeds: generic points give free orbits, points on axes and mirror
@@ -347,23 +378,15 @@ def test_classification_matches_seed_oracle_on_any_action(
         x = sum(lv * projector(act, p.name) for lv, p in zip(levels, g.irreps))
     if kind == "forced, R = I":
         r = np.eye(n)
-    modes = solve_cm(ImpedancePair(x, r))
+    pair = ImpedancePair(x, r)
+    modes = solve_cm(pair)
     cls = classify_modes(modes, act)
-    labels, weights = seed_classify_modes(modes, g, ops)
+    labels, weights, dominants = seed_classify_modes(modes, g, ops)
     for got, ref in zip(cls.weights, weights):
         assert list(got) == list(ref)
         assert max(abs(got[k] - ref[k]) for k in ref) < 1e-12
-    # A mode whose two leading weights tie within rounding (R = I can give
-    # exact 1/sqrt(2) splits) has its dominant irrep, and so its cluster's
-    # per-mode labels, decided by the last bits in any implementation.  Such
-    # a cluster must still get the seed's label multiset.
-    for start, stop in cls.clusters:
-        tied = any(np.diff(sorted(weights[k].values())[-2:])[0] <= 1e-12
-                   for k in range(start, stop))
-        if tied:
-            assert sorted(cls.labels[start:stop]) == sorted(labels[start:stop])
-        else:
-            assert cls.labels[start:stop] == labels[start:stop]
+    assert_labels_are_dominants(cls.labels, dominants, weights)
+    assert_block_solve_labels(pair, act, g, ops, labels)
 
 
 def test_classification_with_irreps_without_columns():
@@ -382,6 +405,81 @@ def test_classification_with_irreps_without_columns():
     for w in cls.weights:
         assert sum(v > 1e-6 for v in w.values()) == 1
         assert all(w[k] == 0.0 or sizes[k] for k in w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["O_h", "O", "D_4h", "C_4v", "C_2v"]),
+       dof=st.sampled_from([1, 3]),
+       orbits=st.lists(st.sampled_from(sorted(ORBIT_SEEDS)), min_size=1,
+                       max_size=2),
+       kind=st.sampled_from(["random", "forced", "forced, R = I",
+                             "rank-deficient R"]),
+       seed=st.integers(0, 2**16))
+def test_block_solve_matches_dense_and_scipy(name, dof, orbits, kind, seed):
+    g = builtin_group(name)
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([(k + 1.0) * orbit_points(g, np.array(ORBIT_SEEDS[o]))
+                     for k, o in enumerate(orbits)])
+    act = action_from_points(g, pts, dof=dof)
+    n = act.dimension
+    a = rng.normal(size=(n, n))
+    b = rng.normal(size=(n, n))
+    x = invariant(act, a + a.T)
+    r = invariant(act, b @ b.T / n) + np.eye(n)
+    if kind.startswith("forced"):
+        levels = rng.integers(0, 3, size=len(g.irreps)).astype(float)
+        levels[:2] = 0.0
+        x = sum(lv * projector(act, p.name) for lv, p in zip(levels, g.irreps))
+    if kind == "forced, R = I":
+        r = np.eye(n)
+    if kind == "rank-deficient R":
+        # R vanishes on the subspaces of a random proper subset of irreps
+        present = [p.name for p in g.irreps if projector(act, p.name).any()]
+        dropped = rng.permutation(present)[:rng.integers(0, len(present))]
+        p_kept = np.eye(n) - sum((projector(act, p) for p in dropped),
+                                 np.zeros((n, n)))
+        r = p_kept @ r @ p_kept
+    pair = ImpedancePair(x, r)
+    modes = solve_cm(pair, action=act)
+    dense = solve_cm(pair)
+    # scipy's generalized solver on the range of R, where solve_cm works
+    u = linalg.orth(r)
+    ref = linalg.eigh(u.T @ x @ u, u.T @ r @ u, eigvals_only=True)
+    assert modes.rank == dense.rank == len(ref) == modes.count
+    tol = 1e-10 * max(1.0, np.abs(ref).max())
+    assert np.abs(modes.eigenvalues - dense.eigenvalues).max() <= tol
+    assert np.abs(modes.eigenvalues - ref).max() <= tol
+    assert modes.r_orthonormality_error(pair) < 1e-10
+    # residuals of the problem restricted to the range of R
+    restricted = ModeSet(modes.eigenvalues, u.T @ modes.eigencurrents,
+                         modes.rank)
+    assert restricted.residual_norms(
+        ImpedancePair(u.T @ x @ u, u.T @ r @ u)).max() < 1e-10
+    names = [p.name for p in g.irreps]
+    weights = irrep_weights(modes.eigencurrents, act)
+    assert all(weights[names.index(label), k] >= 1.0 - 1e-10
+               for k, label in enumerate(modes.labels))
+
+
+def test_block_solve_rejects_input_that_is_not_invariant():
+    g, act, x, _ = symmetric_setup()
+    n = act.dimension
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(n, n))
+    with pytest.raises(ValueError, match="^X is not invariant under the "
+                                         "C_4v action"):
+        solve_cm(ImpedancePair(a + a.T, np.eye(n)), action=act)
+    with pytest.raises(ValueError, match="^R is not invariant under the "
+                                         "C_4v action"):
+        solve_cm(ImpedancePair(x, np.eye(n) + 1e-3 * a @ a.T), action=act)
+    with pytest.raises(ValueError, match="action dimension does not match"):
+        solve_cm(ImpedancePair(np.eye(4), np.eye(4)), action=act)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, 1.0, 2.0, np.inf, np.nan])
+def test_rank_tolerance_outside_the_unit_interval_rejected(tol):
+    with pytest.raises(ValueError, match="rank_tolerance must lie in"):
+        solve_cm(ImpedancePair(np.eye(2), np.eye(2)), rank_tolerance=tol)
 
 
 def seed_residual_norms(modes, pair):
