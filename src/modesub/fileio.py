@@ -3,7 +3,7 @@
 Matrices travel as dense CSV (one row per line) or as a small binary grid:
 the magic bytes ``CMX1``, the side length as a little-endian uint32, then
 the entries as row-major little-endian float64.  Mode sets, group actions
-and tracked traces travel as JSON.
+and tracked traces travel as JSON; binary grids and actions are only read.
 """
 
 from __future__ import annotations
@@ -14,16 +14,14 @@ import json
 import re
 import struct
 import warnings
-from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 from .cmsolver import ModeSet
 from .pointgroup import builtin_group
-from .symaction import (GroupAction, _dense, action_from_operators,
-                        action_from_points)
-from .tracker import Snapshot, TracePoint, TrackedTrace
+from .symaction import GroupAction, action_from_operators, action_from_points
+from .tracker import Snapshot
 
 MATRIX_MAGIC = b"CMX1"
 
@@ -33,16 +31,6 @@ def save_matrix_csv(path, m) -> None:
     with open(path, "w", newline="") as fh:
         for row in np.asarray(m, dtype=float):
             fh.write(",".join(map(repr, row.tolist())) + "\n")
-
-
-def save_matrix_binary(path, m) -> None:
-    m = np.ascontiguousarray(m, dtype="<f8")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("binary matrix format holds square matrices only")
-    with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<I", m.shape[0]))
-        fh.write(m.tobytes())
 
 
 def load_matrix(path) -> np.ndarray:
@@ -113,40 +101,28 @@ def load_vectors_csv(path) -> np.ndarray:
 
 def save_modes_json(path, modes: ModeSet, labels=None) -> None:
     """modes.json: {frequency, lambdas, vectors, labels?}; vectors holds one
-    row per mode."""
-    doc = {
-        "frequency": float(modes.frequency),
-        "lambdas": np.asarray(modes.eigenvalues, dtype=float),
-        "vectors": np.asarray(modes.eigencurrents, dtype=float).T,
-    }
-    names = labels if labels is not None else modes.labels
-    if names is not None:
-        doc["labels"] = list(names)
-    _save_json(path, doc)
+    row per mode.
 
-
-def _save_json(path, doc: dict) -> None:
-    """Write doc as json.dump(doc, fh, indent=1) and a newline would.
-
-    Values that are float arrays (an ndarray, or an iterator of them) are
-    written one innermost row at a time, so the document is never held as
-    one string.
+    The bytes are json.dump(doc, fh, indent=1) and a newline; the arrays are
+    written one row at a time, so the document is never held as one string.
     """
+    names = labels if labels is not None else modes.labels
     with open(path, "w") as fh:
-        fh.write("{")
-        for k, (key, val) in enumerate(doc.items()):
-            fh.write(("," if k else "") + "\n " + json.dumps(key) + ": ")
-            if isinstance(val, (np.ndarray, Iterator)):
-                _write_floats(fh, val, 1)
-            else:
-                fh.write(json.dumps(val, indent=1).replace("\n", "\n "))
+        fh.write('{\n "frequency": ' + json.dumps(float(modes.frequency))
+                 + ',\n "lambdas": ')
+        _write_floats(fh, np.asarray(modes.eigenvalues, dtype=float), 1)
+        fh.write(',\n "vectors": ')
+        _write_floats(fh, np.asarray(modes.eigencurrents, dtype=float).T, 1)
+        if names is not None:
+            fh.write(',\n "labels": ' + json.dumps(list(names), indent=1)
+                     .replace("\n", "\n "))
         fh.write("\n}\n")
 
 
 def _write_floats(fh, a, depth: int) -> None:
-    """A float array, or an iterable of them, laid out as a JSON array at
-    nesting depth `depth` with indent 1."""
-    if isinstance(a, np.ndarray) and a.ndim == 1:
+    """A float array laid out as a JSON array at nesting depth `depth` with
+    indent 1."""
+    if a.ndim == 1:
         fh.write(_json_floats(a.tolist(), depth))
         return
     pad = "\n" + " " * (depth + 1)
@@ -176,8 +152,9 @@ def _json_floats(vals: list, depth: int) -> str:
 def load_modes_json(path) -> Snapshot:
     """Read a modes.json: `lambdas` a list of numbers, `frequency` a number,
     and optionally `vectors`, a 2-D list of numbers with one row per
-    eigenvalue, and `labels`.  Booleans and nulls are no numbers.  A set of
-    no modes loads without vectors: its empty `vectors` has no row length."""
+    eigenvalue, and `labels`, a list of one string per eigenvalue.  Booleans
+    and nulls are no numbers.  A set of no modes loads without vectors: its
+    empty `vectors` has no row length."""
     text = Path(path).read_text()
     doc = json.loads(text)
     try:
@@ -195,11 +172,15 @@ def load_modes_json(path) -> Snapshot:
             vectors = _numbers(vectors, 2, text, rows).T
             if vectors.shape[1] != len(lam):
                 raise ValueError(rows)
+        labels = doc.get("labels")
+        if labels is not None:
+            if (not isinstance(labels, list) or len(labels) != len(lam)
+                    or not all(isinstance(x, str) for x in labels)):
+                raise ValueError(f"labels must be a list of {len(lam)} "
+                                 f"strings")
+            labels = tuple(labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a mode-set file ({exc})") from None
-    labels = doc.get("labels")
-    if labels is not None:
-        labels = tuple(str(x) for x in labels)
     return Snapshot(float(freq), lam, vectors, labels)
 
 
@@ -272,21 +253,6 @@ def _records(rows: list, depth: int) -> str:
             + row + "}\n" + " " * depth + "]")
 
 
-def load_traces_json(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        traces = []
-        for rec in doc["traces"]:
-            points = [TracePoint(p["frequency"], p["lambda"], p["mode_index"])
-                      for p in rec["points"]]
-            traces.append(TrackedTrace(rec["id"], rec["irrep"], points,
-                                       list(rec.get("events", []))))
-        return traces, doc.get("avoidances", [])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: not a traces file ({exc!r})") from None
-
-
 def traces_to_csv(traces, fh) -> None:
     """One row per (trace, frequency): id, irrep, frequency, lambda,
     mode_index."""
@@ -297,20 +263,6 @@ def traces_to_csv(traces, fh) -> None:
             w.writerow([tr.id, tr.irrep if tr.irrep is not None else "",
                         repr(float(p.frequency)), repr(float(p.lam)),
                         p.mode_index])
-
-
-def save_action_json(path, action: GroupAction) -> None:
-    doc = {
-        "group": action.group.name,
-        # a generator, so only one dense matrix is held at a time
-        "operators": (_dense(perm, blocks)
-                      for perm, blocks in zip(action.perms, action.blocks)),
-    }
-    if action.points is not None:
-        # kept so loaders can induce mirror operators outside the group
-        doc["points"] = np.asarray(action.points, dtype=float)
-        doc["dof"] = action.dof
-    _save_json(path, doc)
 
 
 def load_action_json(path) -> GroupAction:

@@ -126,9 +126,11 @@ def poles(wave: O3IrrepId, lo: float, hi: float) -> list[float]:
     """Eigenvalue poles (denominator zeros) inside [lo, hi], in kR units.
 
     The interval is scanned at POLE_SCAN_DENSITY points per unit of kR/pi.
-    Exact zeros on the scan are kept as they are; all sign changes between
-    neighbours are bisected together, by a halving count fixed from the scan
-    step: above kR ~ 1e6 no bracket narrows to POLE_BISECTION_TOL.
+    Exact zeros on the scan are kept as they are, except where the numerator
+    is infinite: near kR = 0, j_t underflows to 0 as y_t overflows, and the
+    eigenvalue there is finite.  All sign changes between neighbours are
+    bisected together, by a halving count fixed from the scan step: above
+    kR ~ 1e6 no bracket narrows to POLE_BISECTION_TOL.
     """
     check_kr(np.array([lo, hi]))
     if not lo < hi:
@@ -137,7 +139,10 @@ def poles(wave: O3IrrepId, lo: float, hi: float) -> list[float]:
     count = max(2, int(math.ceil((hi - lo) / step)) + 1)
     xs = np.linspace(lo, hi, count)
     den = _riccati(wave, xs, spherical_jn)
-    i = np.flatnonzero((den[:-1] == 0.0) | (den[:-1] * den[1:] < 0.0))
+    zero = den == 0.0
+    if zero.any():
+        zero[zero] = np.isfinite(_riccati(wave, xs[zero], spherical_yn))
+    i = np.flatnonzero(zero[:-1] | (den[:-1] * den[1:] < 0.0))
     a, fa = xs[i], den[i]
     b = np.where(fa == 0.0, a, xs[i + 1])      # an exact zero stays put
     for _ in range(i.size and math.ceil(math.log2(step / POLE_BISECTION_TOL))):
@@ -145,7 +150,7 @@ def poles(wave: O3IrrepId, lo: float, hi: float) -> list[float]:
         up = np.sign(_riccati(wave, mid, spherical_jn)) == np.sign(fa)
         a, b = np.where(up, mid, a), np.where(up, b, mid)
     found = (0.5 * (a + b)).tolist()
-    if den[-1] == 0.0:
+    if zero[-1]:
         found.append(float(xs[-1]))
     return found
 

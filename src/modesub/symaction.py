@@ -42,10 +42,6 @@ class PointSetNotSymmetricError(ValueError):
             f"point set is not closed under {group}: no partner for {preview}{more}")
 
 
-class BasisNotIsotypicError(ValueError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class GroupAction:
     """Orthogonal action of a point group on stacked field samples.
@@ -127,13 +123,6 @@ def _apply(perm, blocks, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     gathered = v.reshape(len(perm), blocks.shape[-1], -1)[perm]
     return (blocks @ gathered).reshape(v.shape)
-
-
-def _dense(perm, blocks) -> np.ndarray:
-    n, dof = len(perm), blocks.shape[-1]
-    out = np.zeros((n, n, dof, dof))
-    out[np.arange(n), perm] = blocks
-    return out.transpose(0, 2, 1, 3).reshape(n * dof, n * dof)
 
 
 #: sort key direction of the pair search; its components are rationally
@@ -375,51 +364,6 @@ def project_columns(vectors, action: GroupAction) -> list:
             for w in (dict(zip(names, col)) for col in weights)]
 
 
-def project(v, action: GroupAction) -> ProjectionReport:
-    """Weigh one coefficient vector by irrep."""
-    return project_columns(np.reshape(v, (-1, 1)), action)[0]
-
-
-def irrep_matrix_entries(basis, action: GroupAction, element_index: int,
-                         weight: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of one group element in an orthonormal isotypic basis.
-
-    `basis` columns must be orthonormal and all classified into the same
-    irrep; the returned d x d matrix has entries <psi_mu, D(T) psi_nu> and
-    its trace is checked against the character.
-    """
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2:
-        raise ValueError("basis must be a matrix with one column per function")
-    gram = basis.T @ (basis if weight is None else weight @ basis)
-    if np.abs(gram - np.eye(basis.shape[1])).max() > 1e-8:
-        raise BasisNotIsotypicError("basis columns are not orthonormal")
-    names = set()
-    for k, rep in enumerate(project_columns(basis, action)):
-        if rep.classified is None:
-            raise BasisNotIsotypicError(
-                f"basis column {k} is not a pure irrep function "
-                f"(best {rep.dominant} at weight {rep.weights[rep.dominant]:.6f})")
-        names.add(rep.classified)
-    if len(names) != 1:
-        raise BasisNotIsotypicError(f"basis mixes irreps {sorted(names)}")
-    name = names.pop()
-    p = action.group.irrep(name)
-    if basis.shape[1] != p.dimension:
-        raise BasisNotIsotypicError(
-            f"basis for {name} must have {p.dimension} columns")
-    target = action.apply(element_index, basis)
-    if weight is not None:
-        target = weight @ target
-    gamma = basis.T @ target
-    chi = action.group.character(p, element_index)
-    if abs(np.trace(gamma) - chi) > 1e-6:
-        raise BasisNotIsotypicError(
-            f"trace {np.trace(gamma):.8f} does not match the {name} character "
-            f"{chi} at element {element_index}")
-    return gamma
-
-
 def _plane_element(action: GroupAction, plane):
     """Permutation and blocks of a mirror operation on the action's fields.
 
@@ -441,12 +385,6 @@ def _plane_element(action: GroupAction, plane):
         raise PointSetNotSymmetricError("the plane operation",
                                         [("plane", int(p)) for p in misses])
     return perm, blocks
-
-
-def plane_operator(action: GroupAction, plane=None) -> np.ndarray:
-    """Dense operator for a mirror operation, whether or not it is in the
-    group."""
-    return _dense(*_plane_element(action, plane))
 
 
 def parity_check(v, action: GroupAction, plane=None,

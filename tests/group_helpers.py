@@ -1,6 +1,8 @@
-"""Group constructions that only the tests need."""
+"""Group constructions and input-file writers that only the tests need."""
 
+import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +32,31 @@ def dense_operators(action) -> list:
     action to the identity (+ 0.0 turns any -0.0 into 0.0)."""
     eye = np.eye(action.dimension)
     return [action.apply(t, eye) + 0.0 for t in range(action.group.order)]
+
+
+def write_points_action(path, action) -> None:
+    """The action of a point set as a {group, points, dof} action file."""
+    with open(path, "w") as fh:
+        json.dump({"group": action.group.name, "points": action.points.tolist(),
+                   "dof": action.dof}, fh)
+
+
+def write_operators_action(path, action) -> None:
+    """The action in the legacy dense form: one N x N matrix per element,
+    plus its points and dof when it has points."""
+    doc = {"group": action.group.name,
+           "operators": [d.tolist() for d in dense_operators(action)]}
+    if action.points is not None:
+        doc.update(points=action.points.tolist(), dof=action.dof)
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=1) + "\n")
+
+
+def write_cmx(path, m) -> None:
+    """A square matrix as a CMX1 binary grid."""
+    m = np.asarray(m, dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(b"CMX1" + struct.pack("<I", len(m)) + m.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from modesub.pointgroup import builtin_group
 from modesub.symaction import (action_from_points, orbit_points,
                                project_columns, projector)
 
-from group_helpers import dense_operators
+from group_helpers import (dense_operators, write_operators_action,
+                           write_points_action)
 
 SPHERE_EXAMPLE = """\
 kR_over_pi,t,s,lambda,is_pole_adjacent
@@ -51,7 +52,8 @@ def run_fresh(script, *argv, **env):
 
 
 def symmetric_problem(tmp_path, group="C_4v"):
-    """Write an action file plus X, R matrices whose modes classify exactly.
+    """Write a points-form action file plus X, R matrices whose modes
+    classify exactly.
 
     The orbit seed sits in the z = 0 plane so the horizontal mirror maps the
     point set to itself and parity stays measurable.
@@ -63,7 +65,7 @@ def symmetric_problem(tmp_path, group="C_4v"):
     if group == "C_4v":
         shifts["E"] = 4.0
     x = sum(shifts[name] * projector(act, name) for name in shifts)
-    fileio.save_action_json(tmp_path / "action.json", act)
+    write_points_action(tmp_path / "action.json", act)
     fileio.save_matrix_csv(tmp_path / "x.csv", x)
     fileio.save_matrix_csv(tmp_path / "r.csv", np.eye(act.dimension))
     return act, shifts
@@ -186,7 +188,7 @@ def test_solve_labels_a_mixed_cluster_exactly(capsys, tmp_path):
     pts = np.vstack([orbit_points(g, np.array(s))
                      for s in ((1.0, 0.4, 0.3), (0.7, 0.2, 0.5))])
     act = action_from_points(g, pts, dof=1)
-    fileio.save_action_json(tmp_path / "action.json", act)
+    write_points_action(tmp_path / "action.json", act)
     fileio.save_matrix_csv(tmp_path / "x.csv", projector(act, "B_1")
                            + 2.0 * projector(act, "E"))
     fileio.save_matrix_csv(tmp_path / "r.csv", np.eye(act.dimension))
@@ -267,6 +269,34 @@ def test_classify_json_with_parity(capsys, tmp_path):
     assert out.startswith("vector 0: B_2")
 
 
+@pytest.mark.parametrize("group", ["C_4v", "C_2v"])
+def test_both_action_forms_give_the_same_bytes(capsys, tmp_path, group):
+    # the same action as a point set and in the legacy dense operator form
+    act, _ = symmetric_problem(tmp_path, group)
+    write_operators_action(tmp_path / "legacy.json", act)
+    assert "operators" in json.loads((tmp_path / "legacy.json").read_text())
+    assert "operators" not in json.loads(
+        (tmp_path / "action.json").read_text())
+    vectors = np.random.default_rng(7).normal(size=(act.dimension, 3))
+    vectors[:, 0] = projector(act, "B_2") @ vectors[:, 0]
+    fileio.save_vectors_csv(tmp_path / "v.csv", vectors)
+    out_path = tmp_path / "modes.json"
+    results = []
+    for name in ("action.json", "legacy.json"):
+        action = str(tmp_path / name)
+        solved = run(capsys, "solve", "--x", str(tmp_path / "x.csv"),
+                     "--r", str(tmp_path / "r.csv"), "--out", str(out_path),
+                     "--action", action)
+        classified = run(capsys, "classify", "--vectors",
+                         str(tmp_path / "v.csv"), "--action", action,
+                         "--parity")
+        results.append((solved, out_path.read_bytes(), classified))
+    assert results[0] == results[1]
+    (solved, _, err), _, (code, out, _) = results[0]
+    assert (solved, err, code) == (0, "", 0)
+    assert out.startswith("vector 0: B_2 (weight 1) parity ")
+
+
 def test_track_round_trip_single_snapshot(capsys, tmp_path):
     symmetric_problem(tmp_path)
     snapdir = tmp_path / "snaps"
@@ -281,10 +311,10 @@ def test_track_round_trip_single_snapshot(capsys, tmp_path):
                        "--out", str(out_path))
     assert code == 0
     assert out == f"24 traces, 0 avoidance signatures -> {out_path}\n"
-    traces, avoid = fileio.load_traces_json(out_path)
-    assert avoid == []
-    assert len(traces) == 24
-    assert all(len(tr.points) == 1 for tr in traces)
+    doc = json.loads(out_path.read_text())
+    assert doc["avoidances"] == []
+    assert len(doc["traces"]) == 24
+    assert all(len(tr["points"]) == 1 for tr in doc["traces"])
 
 
 def test_track_csv_export(capsys, tmp_path):
@@ -583,6 +613,10 @@ def test_sphere_at_tiny_kr(capsys):
     ("vectors", [1.0, 2.0]),
     ("vectors", [[1.0, 0.0], [3.0]]),
     ("lambdas", "12"),
+    ("labels", 5),
+    ("labels", [None, "A_1"]),
+    ("labels", "AB"),
+    ("labels", ["A_1"]),
 ])
 def test_malformed_snapshot_is_a_data_error(capsys, tmp_path, key, value):
     snapdir = tmp_path / "snaps"

@@ -177,6 +177,17 @@ def test_poles_keep_exact_scan_zeros(monkeypatch):
     assert poles(O3IrrepId(1, TE), 1.0, 2.0) == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("s, orders", [(TE, range(23, 31)),
+                                       (TM, range(24, 31))])
+def test_no_pole_where_the_denominator_underflows(s, orders):
+    # j_t(1e-12) underflows to an exact 0 for these orders while y_t
+    # overflows: the eigenvalue there is finite, not a pole
+    for t in orders:
+        wave = O3IrrepId(t, s)
+        assert sphwave._riccati(wave, 1e-12, special.spherical_jn) == 0.0
+        assert poles(wave, 1e-12, 1e-3) == []
+
+
 def test_tiny_kr_window_has_no_pole_scan():
     # the padded scan window lies below the 1e-12 floor: nothing to scan
     lam, near = sample_trace(O3IrrepId(1, TE), np.array([1e-13, 2e-13]))

@@ -9,22 +9,19 @@ from modesub import fileio, symaction
 from modesub.cmsolver import ImpedancePair, classify_modes, solve_cm
 from modesub.pointgroup import builtin_group
 from modesub.symaction import (
-    BasisNotIsotypicError,
     GroupAction,
     PointSetNotSymmetricError,
     _pairs_within,
     _permutation,
     action_from_operators,
     action_from_points,
-    irrep_matrix_entries,
     orbit_points,
     parity_check,
-    plane_operator,
-    project,
+    project_columns,
     projector,
 )
 
-from group_helpers import dense_operators
+from group_helpers import dense_operators, write_points_action
 
 GROUPS = ("O_h", "O", "D_4h", "C_4v", "C_2v")
 
@@ -108,7 +105,7 @@ def test_corner_pattern_classifies_b2():
     pts = orbit_points(g, np.array([1.0, 1.0, 0.0]))
     act = action_from_points(g, pts, dof=1)
     v = np.array([np.sign(p[0] * p[1]) for p in pts], dtype=float)
-    rep = project(v, act)
+    rep = project_columns(v[:, None], act)[0]
     assert rep.classified == "B_2"
     assert rep.weights["B_2"] == pytest.approx(1.0, abs=1e-12)
 
@@ -124,39 +121,47 @@ def test_z_field_parity():
     vt = np.zeros(n)
     vt[0::3] = 1.0               # tangential (x) components
     assert parity_check(vt, act) == pytest.approx(1.0)
-    rep = project(vz, act)
+    rep = project_columns(vz[:, None], act)[0]
     assert rep.dominant == "A_1"
 
 
 def test_plane_operator_induced_when_outside_group():
-    # the z-mirror is not a C_4v element; with points available it is
-    # induced from geometry and squares to the identity
+    # the z-mirror is not a C_4v element; with points available parity_check
+    # induces it from geometry: it swaps two layers at z = +-0.2 and flips z
     g = builtin_group("C_4v")
-    pts = orbit_points(g, np.array([1.0, 0.4, 0.0]))
-    act = action_from_points(g, pts, dof=3)
-    S = plane_operator(act)
-    n = act.dimension
-    assert np.abs(S @ S - np.eye(n)).max() < 1e-10
+    top = orbit_points(g, np.array([1.0, 0.4, 0.2]))
+    act = action_from_points(g, np.vstack([top, top * [1, 1, -1]]), dof=3)
+    v = np.random.default_rng(3).normal(size=(2 * len(top), 3))
+    mirrored = np.vstack([v[len(top):], v[:len(top)]]) * [1, 1, -1]
+    v = v.ravel()
+    assert parity_check(v, act) == pytest.approx(
+        (v @ mirrored.ravel()) / (v @ v), abs=1e-12)
     # without points there is nothing to induce from
     bare = dataclasses.replace(act, points=None)
-    with pytest.raises(ValueError):
-        plane_operator(bare)
+    with pytest.raises(ValueError, match="no point set to induce it from"):
+        parity_check(v, bare)
 
 
 def test_plane_operator_member_plane():
     g = builtin_group("D_4h")
     pts = orbit_points(g, np.array([1.0, 0.4, 0.7]))
     act = action_from_points(g, pts, dof=3)
-    S = plane_operator(act)          # z-mirror is a group member here
     idx = g.find_element(np.diag([1.0, 1.0, -1.0]))
     assert idx is not None
-    assert np.abs(S - dense_operators(act)[idx]).max() < 1e-12
+    # the z-mirror is a group member here: its stored element serves, and
+    # needs no points
+    v = np.random.default_rng(5).normal(size=act.dimension)
+    want = (v @ act.apply(idx, v)) / (v @ v)
+    bare = dataclasses.replace(act, points=None)
+    assert parity_check(v, act) == pytest.approx(want, abs=1e-12)
+    assert parity_check(v, bare) == pytest.approx(want, abs=1e-12)
 
 
 def test_irrep_matrix_entries_consistency():
     g, act = make_action("C_4v")
     # transfer operators carve one carrier pair out of the isotypic space:
-    # b_mu = (d/g) sum_T rho(T)_mu1 D(T) u transforms columnwise with rho
+    # b_mu = (d/g) sum_T rho(T)_mu1 D(T) u transforms columnwise with rho,
+    # so <b_mu, D(T) b_nu> = rho(T)_mu,nu
     rng = np.random.default_rng(4)
     rho = g.irrep("E").matrices
     u = rng.normal(size=act.dimension)
@@ -169,24 +174,16 @@ def test_irrep_matrix_entries_consistency():
     basis /= np.linalg.norm(basis[:, 0])
     assert np.abs(basis.T @ basis - np.eye(2)).max() < 1e-10
     for idx in range(g.order):
-        D = irrep_matrix_entries(basis, act, idx)
+        D = basis.T @ act.apply(idx, basis)
         assert np.abs(D - rho[idx]).max() < 1e-8
         chi = g.character(g.irrep("E"), idx)
         assert np.trace(D) == pytest.approx(chi, abs=1e-6)
 
 
-def test_irrep_matrix_entries_rejects_mixed_basis():
-    g, act = make_action("C_4v")
-    rng = np.random.default_rng(9)
-    mixed = np.linalg.qr(rng.normal(size=(act.dimension, 2)))[0]
-    with pytest.raises(BasisNotIsotypicError):
-        irrep_matrix_entries(mixed, act, 1)
-
-
 def test_project_rejects_zero_vector():
     _, act = make_action("C_2v")
-    with pytest.raises(ValueError):
-        project(np.zeros(act.dimension), act)
+    with pytest.raises(ValueError, match="cannot project a zero vector"):
+        project_columns(np.zeros((act.dimension, 1)), act)
 
 
 # The seed's dense construction: an O(n^2) loop search and one N x N matrix
@@ -468,7 +465,7 @@ def test_adapted_basis_built_once_per_action(monkeypatch, tmp_path):
     monkeypatch.setattr(symaction, "_adapted_basis",
                         lambda act: calls.append(act) or build(act))
     g, act = make_action("C_4v")
-    fileio.save_action_json(tmp_path / "a.json", act)
+    write_points_action(tmp_path / "a.json", act)
     loaded = fileio.load_action_json(tmp_path / "a.json")
     # nothing is built at set-up
     assert "adapted_basis" not in vars(act)
