@@ -423,6 +423,10 @@ def main(argv=None) -> int:
             print(f"error: --{name.replace('_', '-')} {rule}, not {value}",
                   file=sys.stderr)
             return 1
+    if getattr(args, "weight", None) and not args.parity:
+        # the weight enters only the parity ratio
+        print("error: --weight needs --parity", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -8,10 +8,12 @@ symmetric structure is meshed, and the eigenbasis gives a clean truncation).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .symaction import GroupAction, irrep_weights
+if TYPE_CHECKING:
+    from .symaction import GroupAction
 
 #: relative spectrum cutoff below which R directions are truncated
 DEFAULT_RANK_TOLERANCE = 1e-12
@@ -193,6 +195,8 @@ def classify_modes(modes: ModeSet, action: GroupAction,
     irreps a mode may itself be mixed; `solve_cm` with the action gives
     modes whose labels are exact by construction.
     """
+    from .symaction import irrep_weights
+
     if action.dimension != modes.eigencurrents.shape[0]:
         raise ValueError("action dimension does not match the eigencurrents")
     weights = irrep_weights(modes.eigencurrents, action)     # (irreps, modes)

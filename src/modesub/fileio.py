@@ -12,16 +12,17 @@ import csv
 import itertools
 import json
 import re
-import struct
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cmsolver import ModeSet
-from .pointgroup import builtin_group
-from .symaction import GroupAction, action_from_operators, action_from_points
-from .tracker import Snapshot
+
+if TYPE_CHECKING:
+    from .symaction import GroupAction
+    from .tracker import Snapshot
 
 MATRIX_MAGIC = b"CMX1"
 
@@ -34,14 +35,20 @@ def save_matrix_csv(path, m) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Load a matrix, sniffing binary grids by their magic bytes."""
+    """Load a matrix, sniffing binary grids by their magic bytes.
+
+    A binary grid is read to its end and only then checked against its
+    side, so a side larger than the file never sizes a read.  The size is
+    not taken from stat beforehand: a pipe has none.
+    """
     with open(path, "rb") as fh:
         head = fh.read(len(MATRIX_MAGIC))
         if head == MATRIX_MAGIC:
-            (n,) = struct.unpack("<I", fh.read(4))
-            data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-            if data.size != n * n:
+            side, body = fh.read(4), fh.read()
+            n = int.from_bytes(side, "little")
+            if len(side) < 4 or len(body) < 8 * n * n:
                 raise ValueError(f"{path}: truncated binary matrix")
+            data = np.frombuffer(body, dtype="<f8", count=n * n)
             return data.reshape(n, n).copy()
     return _load_csv(path)
 
@@ -155,6 +162,8 @@ def load_modes_json(path) -> Snapshot:
     eigenvalue, and `labels`, a list of one string per eigenvalue.  Booleans
     and nulls are no numbers.  A set of no modes loads without vectors: its
     empty `vectors` has no row length."""
+    from .tracker import Snapshot
+
     text = Path(path).read_text()
     doc = json.loads(text)
     try:
@@ -269,6 +278,9 @@ def load_action_json(path) -> GroupAction:
     """Action files name a group plus either per-element operator matrices
     (element order, each a signed block permutation) or a symmetric point set
     with a per-point dof count."""
+    from .pointgroup import builtin_group
+    from .symaction import action_from_operators, action_from_points
+
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("group"), str):

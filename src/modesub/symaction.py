@@ -10,8 +10,8 @@ vector, is read off it.  `projector` keeps the character formula as the
 reference the basis is checked against.
 
 Points are matched to their images by a sorted-key pair search in numpy
-(`_pairs_within`), so this module, like `cmsolver` on top of it, loads no
-scipy.
+(`_pairs_within`), so this module loads no scipy, and neither does a
+labelled `cmsolver.solve_cm`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pointgroup import PLANE_Z, PointGroup, operation_from_matrix
+from .pointgroup import PLANE_Z, PointGroup
 
 #: weight above which a vector counts as a pure irrep basis function
 CLASSIFY_THRESHOLD = 1.0 - 1e-6
@@ -364,22 +364,21 @@ def project_columns(vectors, action: GroupAction) -> list:
             for w in (dict(zip(names, col)) for col in weights)]
 
 
-def _plane_element(action: GroupAction, plane):
-    """Permutation and blocks of a mirror operation on the action's fields.
+def _plane_element(action: GroupAction):
+    """Permutation and blocks of the mirror through z = 0 on the action's
+    fields.
 
-    Group members use their stored element; anything else is induced from
-    the point set (which must be closed under it).
+    A group member uses its stored element; otherwise the mirror is induced
+    from the point set (which must be closed under it).
     """
-    plane_matrix = PLANE_Z if plane is None else np.asarray(plane, dtype=float)
-    idx = action.group.find_element(plane_matrix)
+    idx = action.group.find_element(PLANE_Z)
     if idx is not None:
         return action.perms[idx], action.blocks[idx]
     if action.points is None:
         raise ValueError(
             "plane operation is outside the group and the action has no point "
             "set to induce it from")
-    operation_from_matrix(plane_matrix)   # validates orthogonality
-    perm, blocks = _induced(action.points, plane_matrix, action.dof, 1e-8)
+    perm, blocks = _induced(action.points, PLANE_Z, action.dof, 1e-8)
     misses = np.flatnonzero(perm < 0)
     if misses.size:
         raise PointSetNotSymmetricError("the plane operation",
@@ -387,16 +386,15 @@ def _plane_element(action: GroupAction, plane):
     return perm, blocks
 
 
-def parity_check(v, action: GroupAction, plane=None,
+def parity_check(v, action: GroupAction,
                  weight: np.ndarray | None = None) -> float:
-    """Expectation value <v, D(plane) v> for a mirror operation.
+    """Expectation value <v, D(sigma_z) v> of the mirror through z = 0.
 
-    Defaults to the mirror through z = 0.  Returns a value in [-1, 1]
-    (after normalizing v); -1 marks a field compatible with a PEC plane,
-    +1 its even counterpart.
+    Returns a value in [-1, 1] (after normalizing v); -1 marks a field
+    compatible with a PEC plane, +1 its even counterpart.
     """
     v = np.asarray(v, dtype=float)
-    dv = _apply(*_plane_element(action, plane), v)
+    dv = _apply(*_plane_element(action), v)
     if weight is None:
         denom = float(v @ v)
         num = float(v @ dv)

@@ -10,9 +10,9 @@ Unlabelled sweeps, and labelled ones with the constraint off, are matched
 by that assignment alone, restricted to equal labels when labels are used.
 
 Only the assignment needs scipy (`scipy.optimize`), and `track` imports it
-when it first assigns, so importing this module, or `fileio`, which reads
-snapshots into its types, loads no scipy, and neither does a labelled sweep
-whose irrep counts stay constant.
+when it first assigns, so importing this module loads no scipy, and neither
+does a labelled sweep whose irrep counts stay constant.  `fileio` imports
+this module only when it reads a mode-set file into a `Snapshot`.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -164,6 +165,18 @@ def test_solve_reports_the_bad_csv_row(capsys, tmp_path):
                    f"found 1\n")
 
 
+@pytest.mark.parametrize("side", [10**6, 2**32 - 1])
+def test_solve_rejects_binary_header_larger_than_file(capsys, tmp_path, side):
+    fileio.save_matrix_csv(tmp_path / "r.csv", np.eye(2))
+    bad = tmp_path / "x.cmx"
+    bad.write_bytes(fileio.MATRIX_MAGIC + struct.pack("<I", side) + bytes(32))
+    code, out, err = run(capsys, "solve", "--x", str(bad),
+                         "--r", str(tmp_path / "r.csv"),
+                         "--out", str(tmp_path / "m.json"))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: truncated binary matrix\n"
+
+
 def test_solve_with_labels(capsys, tmp_path):
     act, shifts = symmetric_problem(tmp_path)
     out_path = tmp_path / "modes.json"
@@ -267,6 +280,19 @@ def test_classify_json_with_parity(capsys, tmp_path):
                        "--action", str(tmp_path / "action.json"))
     assert code == 0
     assert out.startswith("vector 0: B_2")
+
+
+def test_classify_weight_needs_parity(capsys, tmp_path):
+    # the weight enters only the parity ratio, so alone it would be ignored
+    act, _ = symmetric_problem(tmp_path)
+    fileio.save_vectors_csv(tmp_path / "v.csv", np.ones(act.dimension))
+    fileio.save_matrix_csv(tmp_path / "w.csv", np.eye(act.dimension))
+    args = ["classify", "--vectors", str(tmp_path / "v.csv"),
+            "--action", str(tmp_path / "action.json"),
+            "--weight", str(tmp_path / "w.csv")]
+    assert run(capsys, *args) == (1, "", "error: --weight needs --parity\n")
+    code, out, _ = run(capsys, *args, "--parity")
+    assert code == 0 and " parity " in out
 
 
 @pytest.mark.parametrize("group", ["C_4v", "C_2v"])
@@ -441,6 +467,52 @@ def test_solve_and_classify_load_no_scipy():
     )
     assert run_fresh(script)[-3:] == ["GROUPS []", "SCIPY []",
                                       "OPTIMIZE False"]
+
+
+def test_solve_and_track_load_no_group_layer(tmp_path):
+    # the numerical half of the workflow needs none of the group modules:
+    # a plain solve loads none of them, and a labelled track only the tracker
+    symmetric_problem(tmp_path)
+    snapdir = tmp_path / "snaps"
+    write_labelled_snapshots(snapdir, [0.0, 0.5, 1.0])
+    script = (
+        "import sys\n"
+        "import modesub.cmsolver, modesub.fileio\n"
+        "from modesub.cli import main\n"
+        "def loaded():\n"
+        "    return [m for m in ('pointgroup', 'symaction', 'tracker')\n"
+        "            if 'modesub.' + m in sys.modules]\n"
+        "print('IMPORT', loaded())\n"
+        "x, r, snaps, out = sys.argv[1:]\n"
+        "assert main(['solve', '--x', x, '--r', r,\n"
+        "             '--out', out + '/m.json']) == 0\n"
+        "print('SOLVE', loaded())\n"
+        "assert main(['track', '--snapshots', snaps,\n"
+        "             '--out', out + '/t.json']) == 0\n"
+        "print('TRACK', loaded())\n"
+    )
+    lines = run_fresh(script, str(tmp_path / "x.csv"), str(tmp_path / "r.csv"),
+                      str(snapdir), str(tmp_path))
+    assert lines[0::2] == ["IMPORT []", "SOLVE []", "TRACK ['tracker']"]
+
+
+def test_action_loads_first_in_a_fresh_process(tmp_path):
+    # the group modules come in on demand, without anything imported before
+    symmetric_problem(tmp_path)
+    action, out = str(tmp_path / "action.json"), str(tmp_path / "m.json")
+    assert run_fresh(
+        "import sys\n"
+        "from modesub.fileio import load_action_json\n"
+        "act = load_action_json(sys.argv[1])\n"
+        "print(act.group.name, act.dimension)\n", action) == ["C_4v 24"]
+    assert run_fresh(
+        "import sys\n"
+        "from modesub.cli import main\n"
+        "print(main(['solve', '--x', sys.argv[1], '--r', sys.argv[2],\n"
+        "            '--out', sys.argv[3], '--action', sys.argv[4]]))\n",
+        str(tmp_path / "x.csv"), str(tmp_path / "r.csv"), out, action
+    ) == [f"24 modes (rank 24) -> {out}", "0"]
+    assert len(json.loads((tmp_path / "m.json").read_text())["labels"]) == 24
 
 
 def test_predict_and_sphere_load_no_scipy_optimize(tmp_path):

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import struct
 import warnings
 
 import numpy as np
@@ -61,6 +63,33 @@ def test_load_matrix_rejects_garbage(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         fileio.load_matrix(empty)
+
+
+@pytest.mark.parametrize("tail", [
+    struct.pack("<I", 10**6) + bytes(64),       # would ask for 8 TB
+    struct.pack("<I", 2**32 - 1) + bytes(64),   # 8 n^2 overflows a read
+    struct.pack("<I", 3) + bytes(8 * 9 - 1),    # one byte short
+    b"\x03\x00",                                # header cut inside the side
+], ids=["side-1e6", "side-2^32-1", "short-body", "short-header"])
+def test_load_matrix_checks_binary_header_against_file_size(tmp_path, tail):
+    p = tmp_path / "big.cmx"
+    p.write_bytes(fileio.MATRIX_MAGIC + tail)
+    with pytest.raises(ValueError, match="truncated binary matrix"):
+        fileio.load_matrix(p)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_matrix_reads_binary_grid_from_a_pipe(tmp_path):
+    # a pipe reports no size, so the grid must be read before it is checked
+    m = np.arange(9.0).reshape(3, 3)
+    write_cmx(tmp_path / "m.cmx", m)
+    r, w = os.pipe()
+    try:
+        os.write(w, (tmp_path / "m.cmx").read_bytes())
+        os.close(w)
+        assert np.array_equal(fileio.load_matrix(f"/dev/fd/{r}"), m)
+    finally:
+        os.close(r)
 
 
 def test_vectors_csv_shapes(tmp_path):
