@@ -177,6 +177,18 @@ def test_solve_rejects_binary_header_larger_than_file(capsys, tmp_path, side):
     assert err == f"error: {bad}: truncated binary matrix\n"
 
 
+def test_solve_rejects_empty_binary_matrix(capsys, tmp_path):
+    fileio.save_matrix_csv(tmp_path / "r.csv", np.eye(2))
+    empty = tmp_path / "x.cmx"
+    empty.write_bytes(fileio.MATRIX_MAGIC + struct.pack("<I", 0))
+    code, out, err = run(capsys, "solve", "--x", str(empty),
+                         "--r", str(tmp_path / "r.csv"),
+                         "--out", str(tmp_path / "m.json"))
+    assert (code, out) == (2, "")
+    assert err == f"error: {empty}: empty matrix file\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_solve_with_labels(capsys, tmp_path):
     act, shifts = symmetric_problem(tmp_path)
     out_path = tmp_path / "modes.json"
@@ -471,7 +483,8 @@ def test_solve_and_classify_load_no_scipy():
 
 def test_solve_and_track_load_no_group_layer(tmp_path):
     # the numerical half of the workflow needs none of the group modules:
-    # a plain solve loads none of them, and a labelled track only the tracker
+    # a plain solve loads none of them, and a labelled track only the
+    # tracker; orjson comes in with the modes.json writer, which track skips
     symmetric_problem(tmp_path)
     snapdir = tmp_path / "snaps"
     write_labelled_snapshots(snapdir, [0.0, 0.5, 1.0])
@@ -480,20 +493,26 @@ def test_solve_and_track_load_no_group_layer(tmp_path):
         "import modesub.cmsolver, modesub.fileio\n"
         "from modesub.cli import main\n"
         "def loaded():\n"
-        "    return [m for m in ('pointgroup', 'symaction', 'tracker')\n"
-        "            if 'modesub.' + m in sys.modules]\n"
+        "    return [m for m in ('modesub.pointgroup', 'modesub.symaction',\n"
+        "                        'modesub.tracker', 'orjson')\n"
+        "            if m in sys.modules]\n"
         "print('IMPORT', loaded())\n"
-        "x, r, snaps, out = sys.argv[1:]\n"
-        "assert main(['solve', '--x', x, '--r', r,\n"
-        "             '--out', out + '/m.json']) == 0\n"
-        "print('SOLVE', loaded())\n"
-        "assert main(['track', '--snapshots', snaps,\n"
-        "             '--out', out + '/t.json']) == 0\n"
-        "print('TRACK', loaded())\n"
+        "x, r, snaps, out, *order = sys.argv[1:]\n"
+        "argv = {'solve': ['solve', '--x', x, '--r', r,\n"
+        "                  '--out', out + '/m.json'],\n"
+        "        'track': ['track', '--snapshots', snaps,\n"
+        "                  '--out', out + '/t.json']}\n"
+        "for name in order:\n"
+        "    assert main(argv[name]) == 0\n"
+        "    print(name.upper(), loaded())\n"
     )
-    lines = run_fresh(script, str(tmp_path / "x.csv"), str(tmp_path / "r.csv"),
-                      str(snapdir), str(tmp_path))
-    assert lines[0::2] == ["IMPORT []", "SOLVE []", "TRACK ['tracker']"]
+    args = (str(tmp_path / "x.csv"), str(tmp_path / "r.csv"), str(snapdir),
+            str(tmp_path))
+    lines = run_fresh(script, *args, "solve", "track")
+    assert lines[0::2] == ["IMPORT []", "SOLVE ['orjson']",
+                           "TRACK ['modesub.tracker', 'orjson']"]
+    lines = run_fresh(script, *args, "track")
+    assert lines[0::2] == ["IMPORT []", "TRACK ['modesub.tracker']"]
 
 
 def test_action_loads_first_in_a_fresh_process(tmp_path):

@@ -65,6 +65,13 @@ def test_load_matrix_rejects_garbage(tmp_path):
         fileio.load_matrix(empty)
 
 
+def test_load_matrix_rejects_binary_grid_of_side_zero(tmp_path):
+    p = tmp_path / "z.cmx"
+    p.write_bytes(fileio.MATRIX_MAGIC + struct.pack("<I", 0))
+    with pytest.raises(ValueError, match=f"^{p}: empty matrix file$"):
+        fileio.load_matrix(p)
+
+
 @pytest.mark.parametrize("tail", [
     struct.pack("<I", 10**6) + bytes(64),       # would ask for 8 TB
     struct.pack("<I", 2**32 - 1) + bytes(64),   # 8 n^2 overflows a read
@@ -358,8 +365,13 @@ def reference_csv(m):
     return fh.getvalue()
 
 
+#: NAN_PAYLOAD is a NaN with low mantissa bits set.  1e-4 and 1e16 bound
+#: the magnitudes where repr writes fixed-point digits without an exponent.
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_DEAD_BEEF))[0]
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
-               float("nan"), float("inf"), float("-inf")]
+               float("nan"), float("inf"), float("-inf"),
+               1e-4, float(np.nextafter(1e-4, 0)), 1e-5, 9.99e-5,
+               1e15, 1e16, float(np.nextafter(1e16, 0)), NAN_PAYLOAD]
 FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
 
 
@@ -390,12 +402,36 @@ def mode_sets(draw):
                                  [float("-inf"), -0.0],
                                  [2.5e-310, 1.0]]), 2), ["E", "\"q\"\n"]),
          pass_labels=True)
+@example(case=(ModeSet(np.array([1e-4, np.nextafter(1e-4, 0), 1e-5, 9.99e-5]),
+                       np.array([[1e15, -1e16, np.nextafter(1e16, 0),
+                                  NAN_PAYLOAD]]), 4, frequency=1e16), []),
+         pass_labels=False)
+@example(case=(ModeSet(np.array([-1e-5, 1e15]),
+                       np.array([[NAN_PAYLOAD, -9.99e-5],
+                                 [np.nextafter(-1e-4, 0), -1e-4]]), 2,
+                       frequency=np.nextafter(1e-4, 0)), ["A", "B"]),
+         pass_labels=True)
 def test_modes_json_bytes_match_json_dump(tmp_path_factory, case, pass_labels):
     modes, names = case
     labels = names if pass_labels else None
     p = tmp_path_factory.mktemp("modes") / "modes.json"
     fileio.save_modes_json(p, modes, labels=labels)
     assert p.read_text() == reference_modes_json(modes, labels)
+
+
+def test_modes_json_bytes_match_json_dump_on_random_bit_patterns(tmp_path):
+    # every exponent, subnormals and NaN payloads, across whole rows
+    rng = np.random.default_rng(16)
+    n = 200
+    bits = rng.integers(0, 2**64, size=(n + 1, n), dtype=np.uint64)
+    floats = bits.view(np.float64)
+    modes = ModeSet(floats[0], floats[1:], n, frequency=float(floats[0, 0]))
+    mag = np.abs(floats)
+    assert np.isnan(floats).any() and ((mag > 0) & (mag < 1e-308)).any()
+    assert ((mag >= 1e-4) & (mag < 1e16)).sum() > 1000
+    p = tmp_path / "modes.json"
+    fileio.save_modes_json(p, modes)
+    assert p.read_text() == reference_modes_json(modes)
 
 
 @settings(max_examples=100, deadline=None)
