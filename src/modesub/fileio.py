@@ -177,12 +177,25 @@ def load_modes_json(path) -> Snapshot:
     and optionally `vectors`, a 2-D list of numbers with one row per
     eigenvalue, and `labels`, a list of one string per eigenvalue.  Booleans
     and nulls are no numbers.  A set of no modes loads without vectors: its
-    empty `vectors` has no row length."""
+    empty `vectors` has no row length.  An integer beyond 64 bits reads as
+    the nearest float.
+
+    orjson parses the text; json parses it again only where orjson refuses
+    it: NaN, Infinity, a lone surrogate or an exponent that overflows, and
+    anything that is no JSON at all, so that json words the error.  orjson
+    reads every float literal to the same double as json does: that was
+    checked on orjson 3.8.3, and test_modes_json_loads_like_json guards it.
+    """
+    import orjson
+
     from .tracker import Snapshot
 
-    text = Path(path).read_text()
-    doc = json.loads(text)
     try:
+        text = Path(path).read_text()
+        try:
+            doc = orjson.loads(text)
+        except orjson.JSONDecodeError:
+            doc = json.loads(text)
         lam = _numbers(doc["lambdas"], 1, text,
                        "lambdas must be a list of numbers")
         freq = doc["frequency"]
@@ -297,8 +310,11 @@ def load_action_json(path) -> GroupAction:
     from .pointgroup import builtin_group
     from .symaction import action_from_operators, action_from_points
 
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:       # no JSON, or no UTF-8
+        raise ValueError(f"{path}: malformed action file ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("group"), str):
         raise ValueError(f"{path}: action file lacks a group name")
     group = builtin_group(doc["group"])

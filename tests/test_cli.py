@@ -484,7 +484,8 @@ def test_solve_and_classify_load_no_scipy():
 def test_solve_and_track_load_no_group_layer(tmp_path):
     # the numerical half of the workflow needs none of the group modules:
     # a plain solve loads none of them, and a labelled track only the
-    # tracker; orjson comes in with the modes.json writer, which track skips
+    # tracker; orjson comes in with the modes.json reader and writer, not
+    # at import
     symmetric_problem(tmp_path)
     snapdir = tmp_path / "snaps"
     write_labelled_snapshots(snapdir, [0.0, 0.5, 1.0])
@@ -512,7 +513,7 @@ def test_solve_and_track_load_no_group_layer(tmp_path):
     assert lines[0::2] == ["IMPORT []", "SOLVE ['orjson']",
                            "TRACK ['modesub.tracker', 'orjson']"]
     lines = run_fresh(script, *args, "track")
-    assert lines[0::2] == ["IMPORT []", "TRACK ['modesub.tracker']"]
+    assert lines[0::2] == ["IMPORT []", "TRACK ['modesub.tracker', 'orjson']"]
 
 
 def test_action_loads_first_in_a_fresh_process(tmp_path):
@@ -632,6 +633,45 @@ def test_malformed_action_file_is_a_data_error(capsys, tmp_path):
                        "--action", str(bad))
     assert code == 2
     assert err.startswith(f"error: {bad}: malformed action file")
+
+
+#: a file cut short, and one that is no UTF-8, with json's or the codec's
+#: message about each
+NOT_JSON = [
+    pytest.param(b'{"frequency": 1.0, "lambdas": [',
+                 "Expecting value: line 1 column 32 (char 31)", id="truncated"),
+    pytest.param(b"\xff{}", "'utf-8' codec can't decode byte 0xff in "
+                 "position 0: invalid start byte", id="not-utf-8"),
+]
+
+
+@pytest.mark.parametrize("data, message", NOT_JSON)
+def test_action_file_that_is_no_json_is_a_data_error(capsys, tmp_path, data,
+                                                     message):
+    symmetric_problem(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, out, err = run(capsys, "solve", "--x", str(tmp_path / "x.csv"),
+                         "--r", str(tmp_path / "r.csv"),
+                         "--out", str(tmp_path / "m.json"), "--action", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: malformed action file ({message})\n"
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("data, message", NOT_JSON)
+def test_snapshot_that_is_no_json_is_a_data_error(capsys, tmp_path, data,
+                                                  message):
+    snapdir = tmp_path / "snaps"
+    write_labelled_snapshots(snapdir, [0.0, 1.0])
+    bad = snapdir / "s-bad.json"
+    bad.write_bytes(data)
+    out_path = tmp_path / "traces.json"
+    code, out, err = run(capsys, "track", "--snapshots", str(snapdir),
+                         "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: not a mode-set file ({message})\n"
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("fault", ["swapped", "negated"])

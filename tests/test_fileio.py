@@ -174,6 +174,34 @@ def test_modes_json_rejects_malformed_mode_sets(tmp_path, key, value,
     assert str(exc.value).startswith(f"{p}: not a mode-set file ({reason}")
 
 
+def test_modes_json_that_is_no_json_names_the_file(tmp_path):
+    p = tmp_path / "cut.json"
+    p.write_text('{"frequency": 1.0, "lambdas": [1.0, ')
+    with pytest.raises(ValueError) as exc:
+        fileio.load_modes_json(p)
+    assert str(exc.value) == (f"{p}: not a mode-set file (Expecting value: "
+                              f"line 1 column 37 (char 36))")
+    p.write_bytes(b'{"frequency": 1.0, "labels": ["\xe9"]}')
+    with pytest.raises(ValueError) as exc:
+        fileio.load_modes_json(p)
+    assert str(exc.value) == (f"{p}: not a mode-set file ('utf-8' codec "
+                              f"can't decode byte 0xe9 in position 31: "
+                              f"invalid continuation byte)")
+    with pytest.raises(FileNotFoundError):
+        fileio.load_modes_json(tmp_path / "missing.json")
+
+
+def test_modes_json_reads_integers_beyond_64_bits_as_floats(tmp_path):
+    # orjson reads such an integer as the nearest float, and a float is a
+    # number; json would give a Python int that no float array holds
+    p = tmp_path / "modes.json"
+    big = [10**20, -2**63 - 1, 2**64 + 1]
+    p.write_text(json.dumps({"frequency": 10**30, "lambdas": big + [2]}))
+    snap = fileio.load_modes_json(p)
+    assert snap.frequency == 1e30
+    assert snap.lambdas.tolist() == [1e20, -2.0**63, 2.0**64, 2.0]
+
+
 def test_snapshot_dir_sorted_by_frequency(tmp_path):
     rng = np.random.default_rng(4)
     # filenames deliberately out of order with the frequencies
@@ -306,6 +334,23 @@ def test_action_json_legacy_sign_flipped_operators(tmp_path):
     assert back.dof == 1 and back.points is None
     for t, d in enumerate(dense_operators(back)):
         assert np.array_equal(d, ops[t])
+
+
+def test_action_json_that_is_no_json_names_the_file(tmp_path):
+    p = tmp_path / "cut.json"
+    p.write_text('{"group": "C_2v", "points": [')
+    with pytest.raises(ValueError) as exc:
+        fileio.load_action_json(p)
+    assert str(exc.value) == (f"{p}: malformed action file (Expecting value: "
+                              f"line 1 column 30 (char 29))")
+    p.write_bytes(b"\xff{}")
+    with pytest.raises(ValueError) as exc:
+        fileio.load_action_json(p)
+    assert str(exc.value) == (f"{p}: malformed action file ('utf-8' codec "
+                              f"can't decode byte 0xff in position 0: "
+                              f"invalid start byte)")
+    with pytest.raises(FileNotFoundError):
+        fileio.load_action_json(tmp_path / "missing.json")
 
 
 def test_action_json_malformed_names_the_file(tmp_path):
@@ -650,3 +695,90 @@ def test_modes_json_round_trip_any_mode_set(tmp_path_factory, case):
     else:
         assert snap.vectors is None
     assert snap.labels == tuple(names)
+
+
+def reference_load_modes_json(path):
+    """json.loads and a float array per field: the frequency, lambdas,
+    vectors and labels of a mode set as the json module reads them."""
+    with open(path) as fh:
+        doc = json.loads(fh.read())
+    lam = np.array(doc["lambdas"], dtype=float)
+    vectors = doc.get("vectors")
+    if vectors == [] and not len(lam):
+        vectors = None
+    elif vectors is not None:
+        vectors = np.array(vectors, dtype=float).T
+    labels = doc.get("labels")
+    return (float(doc["frequency"]), lam, vectors,
+            None if labels is None else tuple(labels))
+
+
+@st.composite
+def long_literals(draw):
+    """A decimal float literal of 18 to 40 significant digits, which no
+    writer emits, from underflow up to but short of overflow (which sends
+    the whole document to json)."""
+    digits = draw(st.text("0123456789", min_size=18, max_size=40))
+    sign = draw(st.sampled_from(["", "-"]))
+    return f"{sign}{digits[0]}.{digits[1:]}e{draw(st.integers(-400, 307))}"
+
+
+@st.composite
+def literal_documents(draw):
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(1, n))
+    rows = [draw(st.lists(long_literals(), min_size=n, max_size=n))
+            for _ in range(count)]
+    lam = draw(st.lists(long_literals(), min_size=count, max_size=count))
+    return ('{"frequency": ' + draw(long_literals()) + ', "lambdas": ['
+            + ", ".join(lam) + '], "vectors": ['
+            + ", ".join("[" + ", ".join(r) + "]" for r in rows) + "]}")
+
+
+#: 1 + 2**-53 lies halfway between 1 and its upper neighbour, 2**-1075
+#: halfway between 0 and the least subnormal; literals on and either side
+#: of both
+HALFWAY = ("1.00000000000000011102230246251565404236316680908203125",
+           "1.000000000000000111022302462515654042363166809082031250001",
+           "1.000000000000000111022302462515654042363166809082031249999",
+           "2.47032822920623272088284396434110686182e-324",
+           "2.47032822920623272088284396434110686183e-324",
+           "-4.9406564584124654417656879286822137236505980e-324")
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.one_of(mode_sets(), literal_documents()))
+@example(doc=(ModeSet(np.array([float("nan"), float("inf"), float("-inf")]),
+                      np.eye(3), 3, frequency=float("-inf")), ["A", "B", "E"]))
+@example(doc=(ModeSet(np.array([-0.0, 5e-324, -2.225073858507201e-308]),
+                      np.array([[1e-310, -0.0, 4e-320]]).T @ np.ones((1, 3)),
+                      3, frequency=-0.0), ["A"] * 3))
+@example(doc=(ModeSet(np.array([np.nextafter(1e-4, 0), 1e-4,
+                                np.nextafter(1e-4, 1)]),
+                      np.array([[np.nextafter(1e16, 0), 1e16,
+                                 np.nextafter(1e16, np.inf)]]), 3,
+                      frequency=np.nextafter(-1e-4, 0)), ["A"] * 3))
+@example(doc=(ModeSet(np.array([1.5]), np.array([[2.0]]), 1), ["\ud800"]))
+@example(doc='{"frequency": 0.1000000000000000055511151231257827021181583, '
+             '"lambdas": [' + ", ".join(HALFWAY) + "]}")
+@example(doc='{"frequency": 1e400, "lambdas": [-1e400, 1e-400]}')
+def test_modes_json_loads_like_json(tmp_path_factory, doc):
+    # orjson parses what json would, to the same doubles; what orjson
+    # refuses (NaN, Infinity, a lone surrogate, 1e400) json parses instead
+    p = tmp_path_factory.mktemp("modes") / "modes.json"
+    if isinstance(doc, str):
+        p.write_text(doc)
+    else:
+        fileio.save_modes_json(p, doc[0], labels=doc[1])
+    freq, lam, vectors, labels = reference_load_modes_json(p)
+    snap = fileio.load_modes_json(p)
+    assert same_bits(snap.frequency, freq)
+    assert same_bits(snap.lambdas, lam)
+    assert (snap.vectors is None if vectors is None
+            else same_bits(snap.vectors, vectors))
+    assert snap.labels == labels
