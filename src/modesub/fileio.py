@@ -9,6 +9,7 @@ and tracked traces travel as JSON; binary grids and actions are only read.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import re
@@ -52,28 +53,90 @@ def load_matrix(path) -> np.ndarray:
                 raise ValueError(f"{path}: empty matrix file")
             data = np.frombuffer(body, dtype="<f8", count=n * n)
             return data.reshape(n, n).copy()
-    return _load_csv(path)
+        return _load_csv(fh, path, head)
 
 
-def _load_csv(path) -> np.ndarray:
-    """Dense CSV grid, one row per line; a binary grid fails to parse.
+def _load_csv(fh, path, head=b"") -> np.ndarray:
+    """Dense CSV grid, one row per line, from `fh`, the binary handle of
+    `path` with `head` already read; a binary grid fails to parse.
 
     Fields are ASCII floats as float() reads them, without ``_`` separators,
     optionally in double quotes; blank lines are skipped and nothing is a
     comment.
+
+    A file whose every line is plain, JSON numbers joined by commas and
+    nothing else, is parsed one line at a time by orjson, which reads each
+    number to the double float() gives: that was checked on orjson 3.8.3,
+    and test_plain_csv_reads_like_float guards it.  Any other file, or one
+    that holds the token -0, which orjson reads as the integer 0, is parsed
+    again from its start by np.loadtxt, so its values and error messages
+    are numpy's.  A regular file is streamed and numpy reopens it by name;
+    a pipe is read whole, once, and numpy parses the bytes kept.
     """
+    # numpy reads a file it opens by name in chunks, and a handle by lines:
+    # the two place a decoding error differently
+    text = path
+    if not fh.seekable():
+        fh = io.BytesIO(head + fh.read())
+        text = io.TextIOWrapper(fh)     # decoded as open(path) would
+    fh.seek(0)
+    m = _load_plain_csv(fh)
+    if m is not None:
+        return m
+    fh.seek(0)
     try:
         with warnings.catch_warnings():
             # an empty file is reported below, by name
             warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                     UserWarning)
-            m = np.loadtxt(path, delimiter=",", ndmin=2, comments=None,
+            m = np.loadtxt(text, delimiter=",", ndmin=2, comments=None,
                            quotechar='"')
     except ValueError as exc:
         raise ValueError(f"{path}: {_csv_error(str(exc))}") from None
     if m.size == 0:
         raise ValueError(f"{path}: empty matrix file")
     return m
+
+
+#: the bytes a plain CSV line holds, and a whole field -0 in one
+_PLAIN_BYTES = b"0123456789.eE+-,\n"
+_NEGATIVE_ZERO = re.compile(rb"(?<![^,])-0(?![^,\n])")
+
+
+class _NotPlain(Exception):
+    """A CSV line that is not a nonempty list of JSON numbers as wide as the
+    first."""
+
+
+def _load_plain_csv(lines):
+    """The matrix of CSV `lines` if every line is plain, else None."""
+    import orjson
+
+    width = 0
+
+    def fields(line):
+        nonlocal width
+        if line.translate(None, _PLAIN_BYTES):
+            raise _NotPlain
+        row = orjson.loads(b"[" + line + b"]")
+        if not row or (width and len(row) != width):
+            raise _NotPlain
+        width = len(row)
+        return row
+
+    try:
+        data = np.fromiter(itertools.chain.from_iterable(map(fields, lines)),
+                           dtype=float)
+    except (_NotPlain, orjson.JSONDecodeError):
+        return None
+    if not width:
+        return None
+    # only a zero can have been read from -0: then look for the token
+    if (data == 0).any():
+        lines.seek(0)
+        if any(map(_NEGATIVE_ZERO.search, lines)):
+            return None
+    return data.reshape(-1, width)
 
 
 # numpy.loadtxt's messages; its rows count matrix rows (blank lines skipped),
@@ -105,7 +168,8 @@ def save_vectors_csv(path, vectors) -> None:
 
 def load_vectors_csv(path) -> np.ndarray:
     """Read one vector per column; a single column yields shape (N, 1)."""
-    return np.atleast_2d(_load_csv(path))
+    with open(path, "rb") as fh:
+        return _load_csv(fh, path)
 
 
 def save_modes_json(path, modes: ModeSet, labels=None) -> None:
@@ -195,7 +259,7 @@ def load_modes_json(path) -> Snapshot:
         try:
             doc = orjson.loads(text)
         except orjson.JSONDecodeError:
-            doc = json.loads(text)
+            doc = _json_loads(text)
         lam = _numbers(doc["lambdas"], 1, text,
                        "lambdas must be a list of numbers")
         freq = doc["frequency"]
@@ -220,6 +284,15 @@ def load_modes_json(path) -> Snapshot:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a mode-set file ({exc})") from None
     return Snapshot(float(freq), lam, vectors, labels)
+
+
+def _json_loads(text: str):
+    """json.loads, with nesting too deep for it a ValueError like any other
+    malformed text."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _numbers(vals, ndim: int, text: str, error: str) -> np.ndarray:
@@ -312,7 +385,7 @@ def load_action_json(path) -> GroupAction:
 
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = _json_loads(fh.read())
     except ValueError as exc:       # no JSON, or no UTF-8
         raise ValueError(f"{path}: malformed action file ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("group"), str):

@@ -635,13 +635,23 @@ def test_malformed_action_file_is_a_data_error(capsys, tmp_path):
     assert err.startswith(f"error: {bad}: malformed action file")
 
 
-#: a file cut short, and one that is no UTF-8, with json's or the codec's
-#: message about each
+#: nesting deeper than json's recursion limit, and json's message about it
+DEEP = "[" * 5000 + "]" * 5000
+try:
+    json.loads(DEEP)
+except RecursionError as exc:
+    DEEP_MESSAGE = str(exc)
+
+#: a file cut short, one that is no UTF-8, and one nested too deep for json
+#: (and refused by orjson for its NaN), with json's or the codec's message
+#: about each
 NOT_JSON = [
     pytest.param(b'{"frequency": 1.0, "lambdas": [',
                  "Expecting value: line 1 column 32 (char 31)", id="truncated"),
     pytest.param(b"\xff{}", "'utf-8' codec can't decode byte 0xff in "
                  "position 0: invalid start byte", id="not-utf-8"),
+    pytest.param(('{"group": "C_2v", "frequency": NaN, "points": ' + DEEP
+                  + "}").encode(), DEEP_MESSAGE, id="deep"),
 ]
 
 

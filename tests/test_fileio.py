@@ -99,6 +99,32 @@ def test_load_matrix_reads_binary_grid_from_a_pipe(tmp_path):
         os.close(r)
 
 
+def load_through_a_pipe(data):
+    """load_matrix of `data`, which fits a pipe's buffer, read as /dev/fd/N
+    from a pipe."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        return fileio.load_matrix(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("line", ["{!r}\n", '"{!r}"\r\n'],
+                         ids=["plain", "quoted-crlf"])
+def test_load_matrix_reads_csv_from_a_pipe(line):
+    # the bytes read to sniff the format are part of the matrix, in a file
+    # of a few rows and in one of 3000 (33 kB), more than one buffered read
+    col = 1.25 + np.arange(3000.0)
+    data = "".join(line.format(x) for x in col.tolist()).encode()
+    assert np.array_equal(load_through_a_pipe(data), col[:, None])
+    few = data[:data.index(b"\n", 10) + 1]
+    assert np.array_equal(load_through_a_pipe(few),
+                          col[:few.count(b"\n"), None])
+
+
 def test_vectors_csv_shapes(tmp_path):
     rng = np.random.default_rng(2)
     v = rng.normal(size=(6, 3))
@@ -174,6 +200,14 @@ def test_modes_json_rejects_malformed_mode_sets(tmp_path, key, value,
     assert str(exc.value).startswith(f"{p}: not a mode-set file ({reason}")
 
 
+#: nesting deeper than json's recursion limit, and json's message about it
+DEEP = "[" * 5000 + "]" * 5000
+try:
+    json.loads(DEEP)
+except RecursionError as exc:
+    DEEP_MESSAGE = str(exc)
+
+
 def test_modes_json_that_is_no_json_names_the_file(tmp_path):
     p = tmp_path / "cut.json"
     p.write_text('{"frequency": 1.0, "lambdas": [1.0, ')
@@ -187,6 +221,11 @@ def test_modes_json_that_is_no_json_names_the_file(tmp_path):
     assert str(exc.value) == (f"{p}: not a mode-set file ('utf-8' codec "
                               f"can't decode byte 0xe9 in position 31: "
                               f"invalid continuation byte)")
+    # orjson reads this nesting but refuses the NaN, so json parses it too
+    p.write_text('{"frequency": NaN, "lambdas": ' + DEEP + "}")
+    with pytest.raises(ValueError) as exc:
+        fileio.load_modes_json(p)
+    assert str(exc.value) == f"{p}: not a mode-set file ({DEEP_MESSAGE})"
     with pytest.raises(FileNotFoundError):
         fileio.load_modes_json(tmp_path / "missing.json")
 
@@ -349,6 +388,10 @@ def test_action_json_that_is_no_json_names_the_file(tmp_path):
     assert str(exc.value) == (f"{p}: malformed action file ('utf-8' codec "
                               f"can't decode byte 0xff in position 0: "
                               f"invalid start byte)")
+    p.write_text('{"group": "C_2v", "points": ' + DEEP + "}")
+    with pytest.raises(ValueError) as exc:
+        fileio.load_action_json(p)
+    assert str(exc.value) == f"{p}: malformed action file ({DEEP_MESSAGE})"
     with pytest.raises(FileNotFoundError):
         fileio.load_action_json(tmp_path / "missing.json")
 
@@ -554,7 +597,7 @@ def test_csv_reader_matches_float_parser(tmp_path_factory, text):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("text, expected", [
+ACCEPTED_CSV = [
     ("1,2\n\n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]]),
     ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
     (" 1 ,\t2\n3 , 4", [[1.0, 2.0], [3.0, 4.0]]),
@@ -562,7 +605,10 @@ def test_csv_reader_matches_float_parser(tmp_path_factory, text):
     ("7\n", [[7.0]]),
     ("1\n2\n3\n", [[1.0], [2.0], [3.0]]),
     ("1,2,3\n", [[1.0, 2.0, 3.0]]),
-])
+]
+
+
+@pytest.mark.parametrize("text, expected", ACCEPTED_CSV)
 def test_csv_reader_accepts(tmp_path, text, expected):
     p = tmp_path / "m.csv"
     p.write_bytes(text.encode())
@@ -609,6 +655,97 @@ def test_csv_errors_name_the_row(tmp_path, text, message):
     with pytest.raises(ValueError) as err:
         fileio.load_matrix(p)
     assert str(err.value) == f"{p}: {message}"
+
+
+#: a JSON number, the grammar of a plain CSV field
+JSON_NUMBER = st.one_of(
+    st.from_regex(r"-?(0|[1-9][0-9]{0,40})(\.[0-9]{1,20})?"
+                  r"([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.sampled_from(["-0", "0", "-0.0", "9007199254740993",
+                     "18446744073709551617", "-18446744073709551615",
+                     "123456789012345678901234567890", "4.9e-324",
+                     "2.5e-324", "1e-400", "1e-0", "1.7976931348623158e308",
+                     "1.7976931348623159e308", "1e400"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+
+
+@st.composite
+def plain_csv_texts(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    fields = draw(st.lists(JSON_NUMBER, min_size=rows * cols,
+                           max_size=rows * cols))
+    lines = [",".join(fields[i:i + cols]) for i in range(0, len(fields), cols)]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class LoadtxtCalled(Exception):
+    pass
+
+
+def no_loadtxt(*args, **kwargs):
+    raise LoadtxtCalled
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=plain_csv_texts())
+@example(text="-0")
+@example(text="0,-0\n-0.0,1")
+@example(text="1e-0,0\n")
+@example(text="18446744073709551617\n9007199254740993\n2.5e-324\n")
+def test_plain_csv_reads_like_float(tmp_path_factory, text):
+    # plain lines are read by orjson alone, unless a field is -0 (orjson's
+    # integer 0) or beyond the largest double (which orjson refuses)
+    p = tmp_path_factory.mktemp("plain") / "m.csv"
+    p.write_bytes(text.encode())
+    want = reference_load_csv(p)
+    fields = text.replace("\n", ",").strip(",").split(",")
+    fast = all(f != "-0" and np.isfinite(float(f)) for f in fields)
+    with pytest.MonkeyPatch.context() as mp:
+        if fast:
+            mp.setattr(np, "loadtxt", no_loadtxt)
+        got = fileio.load_matrix(p)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("text, plain", [
+    *((text, text in ("7\n", "1\n2\n3\n", "1,2,3\n"))
+      for text, _ in ACCEPTED_CSV),
+    ("1.5,-2e3\n0,-0.0\n", True),
+    ("1e-0,0", True),
+    ("nan,1\n", False),
+    ("inf,1\n", False),
+    ("+1,1\n", False),
+    (".5,1\n", False),
+    ("1.,1\n", False),
+    ("1e400,1\n", False),
+    ("01,1\n", False),
+    ("1,-0\n", False),
+    ("-0,1\n", False),
+    ("1,2\n3\n", False),
+    ("1,2\r3,4\r", False),
+    ("1,2,\n", False),
+    ("\n1,2\n", False),
+    ("", False),
+])
+def test_csv_reader_takes_loadtxt_only_off_the_plain_grammar(monkeypatch,
+                                                              tmp_path, text,
+                                                              plain):
+    p = tmp_path / "m.csv"
+    p.write_bytes(text.encode())
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+    if plain:
+        got = fileio.load_matrix(p)
+        assert np.array_equal(got.view(np.int64),
+                              reference_load_csv(p).view(np.int64))
+        assert np.array_equal(fileio.load_vectors_csv(p), got)
+    else:
+        with pytest.raises(LoadtxtCalled):
+            fileio.load_matrix(p)
+        with pytest.raises(LoadtxtCalled):
+            fileio.load_vectors_csv(p)
 
 
 def test_csv_reader_rejects_binary_grid_as_vectors(tmp_path):
