@@ -137,8 +137,8 @@ def cmd_sphere(args) -> int:
 
     import numpy as np
 
-    from .pointgroup import O3IrrepId
-    from .sphwave import TE, TM, eigenvalue, sample_trace
+    from .pointgroup import TE, TM, O3IrrepId
+    from .sphwave import eigenvalue, sample_trace
 
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")

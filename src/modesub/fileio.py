@@ -3,12 +3,11 @@
 Matrices travel as dense CSV (one row per line) or as a small binary grid:
 the magic bytes ``CMX1``, the side length as a little-endian uint32, then
 the entries as row-major little-endian float64.  Mode sets, group actions
-and tracked traces travel as JSON; binary grids and actions are only read.
+and tracked traces travel as JSON; matrices and actions are only read.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import json
@@ -26,13 +25,6 @@ if TYPE_CHECKING:
     from .tracker import Snapshot
 
 MATRIX_MAGIC = b"CMX1"
-
-
-def save_matrix_csv(path, m) -> None:
-    """One line per row, each entry as repr(float)."""
-    with open(path, "w", newline="") as fh:
-        for row in np.asarray(m, dtype=float):
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -154,16 +146,6 @@ def _csv_error(message: str) -> str:
     if m := _NOT_FLOAT.match(message):
         return f"row {int(m[2]) + 1}: field {m[3]} is not a number: {m[1]}"
     return message
-
-
-def save_vectors_csv(path, vectors) -> None:
-    """Write vectors as columns, one coefficient per line."""
-    v = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if v.ndim != 2:
-        raise ValueError("vectors must form a 1-D or 2-D array")
-    if v.shape[0] == 1 and np.asarray(vectors).ndim == 1:
-        v = v.T
-    save_matrix_csv(path, v)
 
 
 def load_vectors_csv(path) -> np.ndarray:
@@ -367,6 +349,8 @@ def _records(rows: list, depth: int) -> str:
 def traces_to_csv(traces, fh) -> None:
     """One row per (trace, frequency): id, irrep, frequency, lambda,
     mode_index."""
+    import csv
+
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(["trace_id", "irrep", "frequency", "lambda", "mode_index"])
     for tr in traces:
@@ -379,7 +363,7 @@ def traces_to_csv(traces, fh) -> None:
 def load_action_json(path) -> GroupAction:
     """Action files name a group plus either per-element operator matrices
     (element order, each a signed block permutation) or a symmetric point set
-    with a per-point dof count."""
+    with a per-point dof count.  Every error names the file."""
     from .pointgroup import builtin_group
     from .symaction import action_from_operators, action_from_points
 
@@ -390,21 +374,31 @@ def load_action_json(path) -> GroupAction:
         raise ValueError(f"{path}: malformed action file ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("group"), str):
         raise ValueError(f"{path}: action file lacks a group name")
-    group = builtin_group(doc["group"])
     try:
+        group = builtin_group(doc["group"])
         points = doc.get("points")
         if points is not None:
-            points = np.array(points, dtype=float)
+            try:
+                points = np.array(points, dtype=float)
+            except ValueError:      # ragged, too deep, or not numbers
+                raise ValueError("points must be an (N, 3) array of "
+                                 "numbers") from None
         if "operators" in doc:
             # without points the finest blocks decode every signed permutation
-            dof = int(doc.get("dof", 3 if points is not None else 1))
-            try:
-                return action_from_operators(group, doc["operators"], dof,
-                                             points)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+            dof = _action_dof(doc, 3 if points is not None else 1)
+            return action_from_operators(group, doc["operators"], dof, points)
         if points is not None:
-            return action_from_points(group, points, dof=int(doc.get("dof", 3)))
+            return action_from_points(group, points, dof=_action_dof(doc, 3))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed action file ({exc!r})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     raise ValueError(f"{path}: action file needs operators or points")
+
+
+def _action_dof(doc: dict, default: int) -> int:
+    """The file's dof, which must be a JSON integer (true is not one)."""
+    dof = doc.get("dof", default)
+    if type(dof) is not int:
+        raise ValueError("dof must be an integer")
+    return dof

@@ -221,9 +221,6 @@ class PointGroup:
         """find_element over a (..., 3, 3) stack, with -1 for None."""
         return self._index[_element_codes(mats)]
 
-    def contains_group(self, other: "PointGroup") -> bool:
-        return bool((self.find_elements(other.element_matrices()) >= 0).all())
-
 
 # ---------------------------------------------------------------------------
 # encoded group data
@@ -533,10 +530,6 @@ def _build_group(canonical: str) -> PointGroup:
     if not report.ok:
         raise RuntimeError(f"{canonical} failed validation: {report.violations}")
     return group
-
-
-def builtin_group_names():
-    return tuple(_GROUPS)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,11 @@ the zeros of den: sign changes on a uniform scan, bisected all at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
-from .pointgroup import O3IrrepId, TE, TM
+from .pointgroup import O3IrrepId, TE
 
 #: denominator magnitude below which an eigenvalue is reported as infinite
 POLE_DENOMINATOR_TOL = 1e-13
@@ -33,18 +32,6 @@ def check_kr(kr) -> None:
     if not np.all((kr >= KR_MIN) & np.isfinite(kr)):
         raise ValueError(f"kR must be positive and normal: finite and at "
                          f"least {KR_MIN!r}")
-
-
-def spherical_bessel(kind: str, t: int, x: float) -> float:
-    """Spherical Bessel function of the first ("j") or second ("y") kind."""
-    check_kr(x)
-    if t < 0 or t > 30:
-        raise ValueError("order must be in 0..30")
-    if kind == "j":
-        return float(spherical_jn(t, x))
-    if kind == "y":
-        return float(spherical_yn(t, x))
-    raise ValueError("kind must be 'j' or 'y'")
 
 
 def _riccati(wave: O3IrrepId, x, f):
@@ -87,39 +74,6 @@ def eigenvalue(wave: O3IrrepId, kR: float) -> float:
     check_kr(kR)
     return float(_ratio(_riccati(wave, kR, spherical_yn),
                         _riccati(wave, kR, spherical_jn)))
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """Global index of one vector spherical wave: n enumerates (t, m, s)."""
-
-    t: int
-    m: int
-    s: int
-    n: int
-
-
-def mode_index(t: int, m: int, s: int) -> ModeIndex:
-    """Compact global index n = 2(t(t+1) + m - 1) + s."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if abs(m) > t:
-        raise ValueError("m must satisfy -t <= m <= t")
-    if s not in (TE, TM):
-        raise ValueError("s must be 1 (TE) or 2 (TM)")
-    n = 2 * (t * (t + 1) + m - 1) + s
-    return ModeIndex(t, m, s, n)
-
-
-def index_to_mode(n: int) -> ModeIndex:
-    """Invert the global index: recover (t, m, s) from n >= 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    s = TM if n % 2 == 0 else TE
-    k = (n - s) // 2 + 1          # k = t(t+1) + m, with t^2 <= k <= t^2 + 2t
-    t = int(math.isqrt(k))
-    m = k - t * (t + 1)
-    return ModeIndex(t, m, s, n)
 
 
 def poles(wave: O3IrrepId, lo: float, hi: float) -> list[float]:

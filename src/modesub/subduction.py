@@ -51,9 +51,6 @@ class ParityFilter:
     def sign(self) -> int:
         return -1 if self.keep == "odd" else 1
 
-    def complement(self) -> "ParityFilter":
-        return ParityFilter("even" if self.keep == "odd" else "odd", self.plane)
-
 
 @dataclass(frozen=True)
 class SubductionResult:
@@ -73,9 +70,6 @@ class SubductionResult:
     @property
     def fractional(self) -> bool:
         return any(m.denominator != 1 for _, m in self.entries)
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
 
     def to_json(self) -> dict:
         return {"parent": str(self.parent), "child_group": self.child_group,
@@ -267,65 +261,3 @@ def filtered_stage_content(group: PointGroup, entries,
         if n_match:
             out.append((name, mult * Fraction(n_match, p.dimension)))
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# reference tables
-# ---------------------------------------------------------------------------
-
-def spherical_to_octahedral_table(tmax: int = 6) -> list:
-    """Octahedral content of every vector spherical wave up to tmax.
-
-    One row per (t, s): the subduction of the (2t+1)-dim wave onto O_h.
-    """
-    oh = builtin_group("O_h")
-    rows = []
-    for t in range(1, tmax + 1):
-        for s in (1, 2):
-            wave = O3IrrepId(t, s)
-            rows.append((wave, subduce(wave, oh)))
-    return rows
-
-
-def octahedral_chain_table() -> list:
-    """Descent of each O_h irrep through D_4h toward C_2v under the odd filter.
-
-    One row per O_h irrep with its D_4h content, the plane-operation matrix
-    of each D_4h branch, the branches surviving the odd (PEC-plane) filter,
-    and their continuation onto C_4v and C_2v.
-    """
-    oh = builtin_group("O_h")
-    d4h = builtin_group("D_4h")
-    c4v = builtin_group("C_4v")
-    c2v = builtin_group("C_2v")
-    plane_idx = d4h.find_element(PLANE_Z)
-
-    rows = []
-    for p in oh.irreps:
-        branches = []
-        step = subduce(p.name, d4h, parent_group=oh)
-        for child_name, mult in step.entries:
-            child = d4h.irrep(child_name)
-            gamma = np.asarray(child.matrices[plane_idx])
-            odd = len(_plane_slots(d4h, child, ParityFilter("odd"))) == child.dimension
-            branch = {
-                "d4h": child_name,
-                "multiplicity": mult,
-                "plane_matrix": tuple(tuple(float(x) + 0.0 for x in r) for r in gamma),
-                "odd": odd,
-                "c4v": None,
-                "c2v": None,
-            }
-            if odd:
-                down = subduce(child_name, c4v, parent_group=d4h)
-                branch["c4v"] = down.entries
-                c2v_content = {}
-                for name4, m4 in down.entries:
-                    deeper = subduce(name4, c2v, parent_group=c4v)
-                    for name2, m2 in deeper.entries:
-                        c2v_content[name2] = c2v_content.get(name2, Fraction(0)) \
-                            + m4 * m2
-                branch["c2v"] = tuple(sorted(c2v_content.items()))
-            branches.append(branch)
-        rows.append({"oh": p.name, "branches": branches})
-    return rows

@@ -174,25 +174,3 @@ def diagram_svg(diagram, crossings=(), avoidances=(),
                               kind="crossing"))
     return render(curves, markers, x_label="kR/pi", y_label="eigenvalue",
                   y_clip=y_clip, title=title)
-
-
-def traces_svg(traces, avoidances=(), y_clip=DEFAULT_CLIP,
-               title: str | None = None) -> str:
-    """Plot tracked traces over frequency with avoidance signatures marked."""
-    curves = [Curve(tr.frequencies, tr.lambdas,
-                    tr.irrep if tr.irrep is not None else f"trace {tr.id}")
-              for tr in traces if tr.points]
-    markers = [Marker(s.frequency,
-                      0.5 * (_trace_value(traces, s.lower_id, s.frequency)
-                             + _trace_value(traces, s.upper_id, s.frequency)),
-                      f"{s.kind} {s.gap:.3g}")
-               for s in avoidances]
-    return render(curves, markers, x_label="frequency", y_label="eigenvalue",
-                  y_clip=y_clip, title=title)
-
-
-def _trace_value(traces, tid: int, frequency: float) -> float:
-    for tr in traces:
-        if tr.id == tid:
-            return float(np.interp(frequency, tr.frequencies, tr.lambdas))
-    return np.nan

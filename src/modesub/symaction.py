@@ -261,18 +261,6 @@ def action_from_operators(group: PointGroup, operators, dof: int = 1,
     return GroupAction(group, perms, blocks, points)
 
 
-def orbit_points(group: PointGroup, seed, tol: float = 1e-8) -> np.ndarray:
-    """Orbit of a seed point under the group (deduplicated); always a valid
-    point set for action_from_points."""
-    seed = np.asarray(seed, dtype=float)
-    pts = []
-    for op in group.elements:
-        q = op.matrix @ seed
-        if not any(np.abs(q - p).max() <= tol for p in pts):
-            pts.append(q)
-    return np.array(pts)
-
-
 def _characters(group: PointGroup, irreps) -> np.ndarray:
     return np.array([[group.character(p, t) for t in range(group.order)]
                      for p in irreps], dtype=float)

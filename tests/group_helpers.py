@@ -1,14 +1,18 @@
-"""Group constructions and input-file writers that only the tests need."""
+"""Group constructions, reference tables and input-file writers that only
+the tests need."""
 
 import json
 import math
 import struct
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
-from modesub.pointgroup import (_GROUPS, MATCH_TOL, PointGroup, _axis_kind,
+from modesub.pointgroup import (_GROUPS, MATCH_TOL, PLANE_Z, O3IrrepId,
+                                PointGroup, _axis_kind, builtin_group,
                                 operation_from_matrix)
+from modesub.subduction import ParityFilter, _plane_slots, subduce
 
 
 def perturbed_character_table(group: PointGroup, irrep_name: str,
@@ -27,11 +31,57 @@ def perturbed_character_table(group: PointGroup, irrep_name: str,
     return replace(group, irreps=tuple(irreps))
 
 
+def orbit_points(group: PointGroup, seed, tol: float = 1e-8) -> np.ndarray:
+    """Orbit of a seed point under the group (deduplicated); always a valid
+    point set for action_from_points."""
+    seed = np.asarray(seed, dtype=float)
+    pts = []
+    for op in group.elements:
+        q = op.matrix @ seed
+        if not any(np.abs(q - p).max() <= tol for p in pts):
+            pts.append(q)
+    return np.array(pts)
+
+
 def dense_operators(action) -> list:
     """Every element's N x N matrix, in element order, built by applying the
     action to the identity (+ 0.0 turns any -0.0 into 0.0)."""
     eye = np.eye(action.dimension)
     return [action.apply(t, eye) + 0.0 for t in range(action.group.order)]
+
+
+#: a C_2v orbit of four points, and action files that must not load: each
+#: id maps to the file's document and the message that follows its path
+C2V_ORBIT = [[0.7, 0.2, 0.4], [-0.7, -0.2, 0.4], [0.7, -0.2, 0.4],
+             [-0.7, 0.2, 0.4]]
+BAD_ACTIONS = {
+    "ragged-points": ({"group": "C_2v", "points": [[1.0, 0.0, 0.0], [1.0]]},
+                      "points must be an (N, 3) array of numbers"),
+    "deep-points": ({"group": "C_2v", "points": json.loads("[" * 100
+                                                           + "]" * 100)},
+                    "points must be an (N, 3) array of numbers"),
+    "no-points": ({"group": "C_2v", "points": []},
+                  "points must be an (N, 3) array"),
+    "dof-0": ({"group": "C_2v", "points": C2V_ORBIT, "dof": 0},
+              "dof must be 1 or 3"),
+    "dof-2.5": ({"group": "C_2v", "points": C2V_ORBIT, "dof": 2.5},
+                "dof must be an integer"),
+    "dof-1.5": ({"group": "C_2v", "points": C2V_ORBIT, "dof": 1.5},
+                "dof must be an integer"),
+    "dof-true": ({"group": "C_2v", "points": C2V_ORBIT, "dof": True},
+                 "dof must be an integer"),
+    "dof-string": ({"group": "C_2v", "points": C2V_ORBIT, "dof": "1"},
+                   "dof must be an integer"),
+    "operators-dof-1.5": ({"group": "C_2v", "dof": 1.5,
+                           "operators": [np.eye(4).tolist()] * 4},
+                          "dof must be an integer"),
+    "operators-dof-true": ({"group": "C_2v", "dof": True,
+                            "operators": [np.eye(4).tolist()] * 4},
+                           "dof must be an integer"),
+    "unknown-group": ({"group": "D_6h", "points": C2V_ORBIT},
+                      "unknown point group 'D_6h'; built-ins are C_2v, "
+                      "C_4v, D_4h, O, O_h"),
+}
 
 
 def write_points_action(path, action) -> None:
@@ -50,6 +100,15 @@ def write_operators_action(path, action) -> None:
         doc.update(points=action.points.tolist(), dof=action.dof)
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, indent=1) + "\n")
+
+
+def write_csv(path, m) -> None:
+    """A matrix as CSV, one line per row and repr of each entry; a 1-D
+    array as one column."""
+    m = np.asarray(m, dtype=float)
+    with open(path, "w", newline="") as fh:
+        for row in m.reshape(len(m), -1):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def write_cmx(path, m) -> None:
@@ -224,3 +283,65 @@ def oracle_group(name: str) -> dict:
               for p, rule in _MATRIX_RULES[name].items()}
     return {"matrices": [op.matrix for op in ops], "classes": classes,
             "class_of_element": class_of_element, "irreps": irreps}
+
+
+# ---------------------------------------------------------------------------
+# the paper's reference tables, checked by the acceptance tests
+# ---------------------------------------------------------------------------
+
+def spherical_to_octahedral_table(tmax: int = 6) -> list:
+    """Octahedral content of every vector spherical wave up to tmax.
+
+    One row per (t, s): the subduction of the (2t+1)-dim wave onto O_h.
+    """
+    oh = builtin_group("O_h")
+    rows = []
+    for t in range(1, tmax + 1):
+        for s in (1, 2):
+            wave = O3IrrepId(t, s)
+            rows.append((wave, subduce(wave, oh)))
+    return rows
+
+
+def octahedral_chain_table() -> list:
+    """Descent of each O_h irrep through D_4h toward C_2v under the odd filter.
+
+    One row per O_h irrep with its D_4h content, the plane-operation matrix
+    of each D_4h branch, the branches surviving the odd (PEC-plane) filter,
+    and their continuation onto C_4v and C_2v.
+    """
+    oh = builtin_group("O_h")
+    d4h = builtin_group("D_4h")
+    c4v = builtin_group("C_4v")
+    c2v = builtin_group("C_2v")
+    plane_idx = d4h.find_element(PLANE_Z)
+
+    rows = []
+    for p in oh.irreps:
+        branches = []
+        step = subduce(p.name, d4h, parent_group=oh)
+        for child_name, mult in step.entries:
+            child = d4h.irrep(child_name)
+            gamma = np.asarray(child.matrices[plane_idx])
+            odd = len(_plane_slots(d4h, child, ParityFilter("odd"))) == child.dimension
+            branch = {
+                "d4h": child_name,
+                "multiplicity": mult,
+                "plane_matrix": tuple(tuple(float(x) + 0.0 for x in r) for r in gamma),
+                "odd": odd,
+                "c4v": None,
+                "c2v": None,
+            }
+            if odd:
+                down = subduce(child_name, c4v, parent_group=d4h)
+                branch["c4v"] = down.entries
+                c2v_content = {}
+                for name4, m4 in down.entries:
+                    deeper = subduce(name4, c2v, parent_group=c4v)
+                    for name2, m2 in deeper.entries:
+                        c2v_content[name2] = c2v_content.get(name2, Fraction(0)) \
+                            + m4 * m2
+                branch["c2v"] = tuple(sorted(c2v_content.items()))
+            branches.append(branch)
+        rows.append({"oh": p.name, "branches": branches})
+    return rows

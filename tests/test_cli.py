@@ -13,10 +13,10 @@ import modesub
 from modesub import fileio
 from modesub.cli import main
 from modesub.pointgroup import builtin_group
-from modesub.symaction import (action_from_points, orbit_points,
-                               project_columns, projector)
+from modesub.symaction import action_from_points, project_columns, projector
 
-from group_helpers import (dense_operators, write_operators_action,
+from group_helpers import (BAD_ACTIONS, dense_operators, orbit_points,
+                           write_csv, write_operators_action,
                            write_points_action)
 
 SPHERE_EXAMPLE = """\
@@ -67,8 +67,8 @@ def symmetric_problem(tmp_path, group="C_4v"):
         shifts["E"] = 4.0
     x = sum(shifts[name] * projector(act, name) for name in shifts)
     write_points_action(tmp_path / "action.json", act)
-    fileio.save_matrix_csv(tmp_path / "x.csv", x)
-    fileio.save_matrix_csv(tmp_path / "r.csv", np.eye(act.dimension))
+    write_csv(tmp_path / "x.csv", x)
+    write_csv(tmp_path / "r.csv", np.eye(act.dimension))
     return act, shifts
 
 
@@ -143,9 +143,9 @@ def test_data_errors_exit_2(capsys, tmp_path):
 
 
 def test_solve_rejects_nonfinite_matrix(capsys, tmp_path):
-    fileio.save_matrix_csv(tmp_path / "x.csv",
-                           [[1.0, float("nan")], [float("nan"), 1.0]])
-    fileio.save_matrix_csv(tmp_path / "r.csv", np.eye(2))
+    write_csv(tmp_path / "x.csv",
+              [[1.0, float("nan")], [float("nan"), 1.0]])
+    write_csv(tmp_path / "r.csv", np.eye(2))
     code, _, err = run(capsys, "solve", "--x", str(tmp_path / "x.csv"),
                        "--r", str(tmp_path / "r.csv"),
                        "--out", str(tmp_path / "m.json"))
@@ -156,7 +156,7 @@ def test_solve_rejects_nonfinite_matrix(capsys, tmp_path):
 
 def test_solve_reports_the_bad_csv_row(capsys, tmp_path):
     (tmp_path / "x.csv").write_text("1,2\n3\n")
-    fileio.save_matrix_csv(tmp_path / "r.csv", np.eye(2))
+    write_csv(tmp_path / "r.csv", np.eye(2))
     code, _, err = run(capsys, "solve", "--x", str(tmp_path / "x.csv"),
                        "--r", str(tmp_path / "r.csv"),
                        "--out", str(tmp_path / "m.json"))
@@ -167,7 +167,7 @@ def test_solve_reports_the_bad_csv_row(capsys, tmp_path):
 
 @pytest.mark.parametrize("side", [10**6, 2**32 - 1])
 def test_solve_rejects_binary_header_larger_than_file(capsys, tmp_path, side):
-    fileio.save_matrix_csv(tmp_path / "r.csv", np.eye(2))
+    write_csv(tmp_path / "r.csv", np.eye(2))
     bad = tmp_path / "x.cmx"
     bad.write_bytes(fileio.MATRIX_MAGIC + struct.pack("<I", side) + bytes(32))
     code, out, err = run(capsys, "solve", "--x", str(bad),
@@ -178,7 +178,7 @@ def test_solve_rejects_binary_header_larger_than_file(capsys, tmp_path, side):
 
 
 def test_solve_rejects_empty_binary_matrix(capsys, tmp_path):
-    fileio.save_matrix_csv(tmp_path / "r.csv", np.eye(2))
+    write_csv(tmp_path / "r.csv", np.eye(2))
     empty = tmp_path / "x.cmx"
     empty.write_bytes(fileio.MATRIX_MAGIC + struct.pack("<I", 0))
     code, out, err = run(capsys, "solve", "--x", str(empty),
@@ -214,9 +214,9 @@ def test_solve_labels_a_mixed_cluster_exactly(capsys, tmp_path):
                      for s in ((1.0, 0.4, 0.3), (0.7, 0.2, 0.5))])
     act = action_from_points(g, pts, dof=1)
     write_points_action(tmp_path / "action.json", act)
-    fileio.save_matrix_csv(tmp_path / "x.csv", projector(act, "B_1")
-                           + 2.0 * projector(act, "E"))
-    fileio.save_matrix_csv(tmp_path / "r.csv", np.eye(act.dimension))
+    write_csv(tmp_path / "x.csv", projector(act, "B_1")
+              + 2.0 * projector(act, "E"))
+    write_csv(tmp_path / "r.csv", np.eye(act.dimension))
     out_path = tmp_path / "modes.json"
     code, out, _ = run(capsys, "solve", "--x", str(tmp_path / "x.csv"),
                        "--r", str(tmp_path / "r.csv"), "--out", str(out_path),
@@ -236,8 +236,8 @@ def test_solve_rejects_matrices_the_action_does_not_leave_invariant(
     n = act.dimension
     a = np.random.default_rng(3).normal(size=(n, n))
     path = tmp_path / f"{bad.lower()}.csv"
-    fileio.save_matrix_csv(path, a + a.T if bad == "X"
-                           else np.eye(n) + 1e-3 * a @ a.T)
+    write_csv(path, a + a.T if bad == "X"
+              else np.eye(n) + 1e-3 * a @ a.T)
     out_path = tmp_path / "modes.json"
     code, out, err = run(capsys, "solve", "--x", str(tmp_path / "x.csv"),
                          "--r", str(tmp_path / "r.csv"), "--out", str(out_path),
@@ -278,7 +278,7 @@ def test_classify_json_with_parity(capsys, tmp_path):
     act, _ = symmetric_problem(tmp_path)
     rng = np.random.default_rng(6)
     vec = projector(act, "B_2") @ rng.normal(size=act.dimension)
-    fileio.save_vectors_csv(tmp_path / "v.csv", vec)
+    write_csv(tmp_path / "v.csv", vec)
     code, out, _ = run(capsys, "classify", "--vectors", str(tmp_path / "v.csv"),
                        "--action", str(tmp_path / "action.json"),
                        "--parity", "--json")
@@ -297,8 +297,8 @@ def test_classify_json_with_parity(capsys, tmp_path):
 def test_classify_weight_needs_parity(capsys, tmp_path):
     # the weight enters only the parity ratio, so alone it would be ignored
     act, _ = symmetric_problem(tmp_path)
-    fileio.save_vectors_csv(tmp_path / "v.csv", np.ones(act.dimension))
-    fileio.save_matrix_csv(tmp_path / "w.csv", np.eye(act.dimension))
+    write_csv(tmp_path / "v.csv", np.ones(act.dimension))
+    write_csv(tmp_path / "w.csv", np.eye(act.dimension))
     args = ["classify", "--vectors", str(tmp_path / "v.csv"),
             "--action", str(tmp_path / "action.json"),
             "--weight", str(tmp_path / "w.csv")]
@@ -317,7 +317,7 @@ def test_both_action_forms_give_the_same_bytes(capsys, tmp_path, group):
         (tmp_path / "action.json").read_text())
     vectors = np.random.default_rng(7).normal(size=(act.dimension, 3))
     vectors[:, 0] = projector(act, "B_2") @ vectors[:, 0]
-    fileio.save_vectors_csv(tmp_path / "v.csv", vectors)
+    write_csv(tmp_path / "v.csv", vectors)
     out_path = tmp_path / "modes.json"
     results = []
     for name in ("action.json", "legacy.json"):
@@ -454,15 +454,15 @@ def test_solve_and_classify_load_no_scipy():
         "import sys\n"
         "import numpy as np\n"
         "from modesub import cmsolver, fileio, symaction, tracker\n"
-        "from modesub.pointgroup import (builtin_group, builtin_group_names,\n"
-        "                                verify_group)\n"
+        "from modesub.pointgroup import builtin_group, verify_group\n"
         "assert all(verify_group(builtin_group(n)).ok\n"
-        "           for n in builtin_group_names())\n"
+        "           for n in ('O_h', 'O', 'D_4h', 'C_4v', 'C_2v'))\n"
         "print('GROUPS', sorted(m for m in sys.modules if m in\n"
         "                       ('numpy.random', 'numpy.ma', 'scipy')))\n"
         "g = builtin_group('O_h')\n"
+        "# a generic seed: one orbit point per element\n"
         "act = symaction.action_from_points(\n"
-        "    g, symaction.orbit_points(g, np.array([1.0, 0.6, 0.3])))\n"
+        "    g, g.element_matrices() @ np.array([1.0, 0.6, 0.3]))\n"
         "a = np.random.default_rng(0).normal(size=(act.dimension,) * 2)\n"
         "x = sum(act.apply(t, act.apply(t, a + a.T).T).T\n"
         "        for t in range(g.order))\n"
@@ -485,7 +485,7 @@ def test_solve_and_track_load_no_group_layer(tmp_path):
     # the numerical half of the workflow needs none of the group modules:
     # a plain solve loads none of them, and a labelled track only the
     # tracker; orjson comes in with the modes.json reader and writer, not
-    # at import
+    # at import, and csv only with track --csv
     symmetric_problem(tmp_path)
     snapdir = tmp_path / "snaps"
     write_labelled_snapshots(snapdir, [0.0, 0.5, 1.0])
@@ -495,14 +495,16 @@ def test_solve_and_track_load_no_group_layer(tmp_path):
         "from modesub.cli import main\n"
         "def loaded():\n"
         "    return [m for m in ('modesub.pointgroup', 'modesub.symaction',\n"
-        "                        'modesub.tracker', 'orjson')\n"
+        "                        'modesub.tracker', 'orjson', 'csv')\n"
         "            if m in sys.modules]\n"
         "print('IMPORT', loaded())\n"
         "x, r, snaps, out, *order = sys.argv[1:]\n"
         "argv = {'solve': ['solve', '--x', x, '--r', r,\n"
         "                  '--out', out + '/m.json'],\n"
         "        'track': ['track', '--snapshots', snaps,\n"
-        "                  '--out', out + '/t.json']}\n"
+        "                  '--out', out + '/t.json'],\n"
+        "        'track-csv': ['track', '--snapshots', snaps,\n"
+        "                      '--out', out + '/t.json', '--csv', out + '/t.csv']}\n"
         "for name in order:\n"
         "    assert main(argv[name]) == 0\n"
         "    print(name.upper(), loaded())\n"
@@ -512,8 +514,9 @@ def test_solve_and_track_load_no_group_layer(tmp_path):
     lines = run_fresh(script, *args, "solve", "track")
     assert lines[0::2] == ["IMPORT []", "SOLVE ['orjson']",
                            "TRACK ['modesub.tracker', 'orjson']"]
-    lines = run_fresh(script, *args, "track")
-    assert lines[0::2] == ["IMPORT []", "TRACK ['modesub.tracker', 'orjson']"]
+    lines = run_fresh(script, *args, "track", "track-csv")
+    assert lines[0::2] == ["IMPORT []", "TRACK ['modesub.tracker', 'orjson']",
+                           "TRACK-CSV ['modesub.tracker', 'orjson', 'csv']"]
 
 
 def test_action_loads_first_in_a_fresh_process(tmp_path):
@@ -626,13 +629,27 @@ def test_internal_errors_are_not_data_errors(capsys, monkeypatch):
 
 def test_malformed_action_file_is_a_data_error(capsys, tmp_path):
     symmetric_problem(tmp_path)
-    fileio.save_vectors_csv(tmp_path / "v.csv", np.ones(24))
+    write_csv(tmp_path / "v.csv", np.ones(24))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"group": "C_4v", "operators": {"a": 1}}))
     code, _, err = run(capsys, "classify", "--vectors", str(tmp_path / "v.csv"),
                        "--action", str(bad))
     assert code == 2
     assert err.startswith(f"error: {bad}: malformed action file")
+
+
+@pytest.mark.parametrize("doc, message", BAD_ACTIONS.values(),
+                         ids=BAD_ACTIONS)
+def test_action_file_error_names_the_file(capsys, tmp_path, doc, message):
+    write_csv(tmp_path / "r.csv", np.eye(4))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", "--x", str(tmp_path / "r.csv"),
+                         "--r", str(tmp_path / "r.csv"),
+                         "--out", str(tmp_path / "m.json"), "--action", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "m.json").exists()
 
 
 #: nesting deeper than json's recursion limit, and json's message about it
@@ -697,7 +714,7 @@ def test_action_that_is_no_representation_is_a_data_error(capsys, tmp_path,
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"group": "C_4v", "dof": 3,
                                "operators": [d.tolist() for d in ops]}))
-    fileio.save_vectors_csv(tmp_path / "v.csv", np.ones(act.dimension))
+    write_csv(tmp_path / "v.csv", np.ones(act.dimension))
     for args in (["solve", "--x", str(tmp_path / "x.csv"),
                   "--r", str(tmp_path / "r.csv"),
                   "--out", str(tmp_path / "m.json"), "--action", str(bad)],
@@ -780,7 +797,7 @@ def test_classify_rejects_vectors_of_another_dimension(capsys, tmp_path):
     pts = orbit_points(g, np.array([1.0, 0.6, 0.3]))
     (tmp_path / "action.json").write_text(json.dumps(
         {"group": "O_h", "points": pts.tolist(), "dof": 3}))
-    fileio.save_vectors_csv(tmp_path / "v.csv", np.ones((5, 2)))
+    write_csv(tmp_path / "v.csv", np.ones((5, 2)))
     code, out, err = run(capsys, "classify", "--vectors", str(tmp_path / "v.csv"),
                          "--action", str(tmp_path / "action.json"))
     assert code == 2 and out == ""
@@ -795,7 +812,7 @@ def test_classify_many_vectors(capsys, tmp_path):
     vecs = np.stack([projector(act, n) @ rng.normal(size=act.dimension)
                      for n in names], axis=1)
     vecs[:, 3] += 0.5 * vecs[:, 0]                 # mixed: no pure irrep
-    fileio.save_vectors_csv(tmp_path / "v.csv", vecs)
+    write_csv(tmp_path / "v.csv", vecs)
     code, out, _ = run(capsys, "classify", "--vectors", str(tmp_path / "v.csv"),
                        "--action", str(tmp_path / "action.json"), "--json")
     assert code == 0

@@ -18,12 +18,11 @@ from modesub.symaction import (
     action_from_operators,
     action_from_points,
     irrep_weights,
-    orbit_points,
     project_columns,
     projector,
 )
 
-from group_helpers import dense_operators
+from group_helpers import dense_operators, orbit_points
 
 
 def random_pair(rng, n, frequency=0.0):

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from modesub import fileio
 from modesub.cmsolver import ImpedancePair, ModeSet, solve_cm
 from modesub.pointgroup import builtin_group
-from modesub.symaction import GroupAction, action_from_points, orbit_points
+from modesub.symaction import GroupAction, action_from_points
 from modesub.tracker import (AvoidanceSignature, Snapshot, TrackOptions,
                              TrackedTrace, TracePoint, track)
 
-from group_helpers import (dense_operators, write_cmx, write_operators_action,
+from group_helpers import (BAD_ACTIONS, dense_operators, orbit_points,
+                           write_cmx, write_csv, write_operators_action,
                            write_points_action)
 
 
@@ -31,7 +32,7 @@ def test_matrix_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     m = rng.normal(size=(5, 5))
     p = tmp_path / "m.csv"
-    fileio.save_matrix_csv(p, m)
+    write_csv(p, m)
     assert np.array_equal(fileio.load_matrix(p), m)
 
 
@@ -49,7 +50,7 @@ def test_load_matrix_sniffs_format(tmp_path):
     # same loader handles both encodings, picking by leading magic
     m = np.arange(9.0).reshape(3, 3)
     csv_p, bin_p = tmp_path / "a.txt", tmp_path / "b.txt"
-    fileio.save_matrix_csv(csv_p, m)
+    write_csv(csv_p, m)
     write_cmx(bin_p, m)
     assert np.array_equal(fileio.load_matrix(csv_p), fileio.load_matrix(bin_p))
 
@@ -129,7 +130,7 @@ def test_vectors_csv_shapes(tmp_path):
     rng = np.random.default_rng(2)
     v = rng.normal(size=(6, 3))
     p = tmp_path / "v.csv"
-    fileio.save_vectors_csv(p, v)
+    write_csv(p, v)
     assert np.array_equal(fileio.load_vectors_csv(p), v)
     single = tmp_path / "one.csv"
     single.write_text("\n".join(str(x) for x in v[:, 0]) + "\n")
@@ -416,6 +417,16 @@ def test_action_json_malformed_names_the_file(tmp_path):
         fileio.load_action_json(p)
 
 
+@pytest.mark.parametrize("doc, message", BAD_ACTIONS.values(),
+                         ids=BAD_ACTIONS)
+def test_action_json_error_names_the_file(tmp_path, doc, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        fileio.load_action_json(p)
+    assert str(exc.value) == f"{p}: {message}"
+
+
 # Reference implementations the C-backed reader and the streaming writers
 # must reproduce bit for bit and byte for byte.
 
@@ -443,14 +454,6 @@ def reference_modes_json(modes, labels=None):
     if names is not None:
         doc["labels"] = list(names)
     return json.dumps(doc, indent=1) + "\n"
-
-
-def reference_csv(m):
-    fh = io.StringIO(newline="")
-    w = csv.writer(fh, lineterminator="\n")
-    for row in m:
-        w.writerow([repr(float(x)) for x in row])
-    return fh.getvalue()
 
 
 #: NAN_PAYLOAD is a NaN with low mantissa bits set.  1e-4 and 1e16 bound
@@ -520,19 +523,6 @@ def test_modes_json_bytes_match_json_dump_on_random_bit_patterns(tmp_path):
     p = tmp_path / "modes.json"
     fileio.save_modes_json(p, modes)
     assert p.read_text() == reference_modes_json(modes)
-
-
-@settings(max_examples=100, deadline=None)
-@given(rows=st.integers(0, 4), cols=st.integers(0, 4), data=st.data())
-def test_csv_writers_match_csv_writer(tmp_path_factory, rows, cols, data):
-    vals = data.draw(st.lists(FLOATS, min_size=rows * cols,
-                              max_size=rows * cols))
-    m = np.array(vals, dtype=float).reshape(rows, cols)
-    d = tmp_path_factory.mktemp("csv")
-    fileio.save_matrix_csv(d / "m.csv", m)
-    fileio.save_vectors_csv(d / "v.csv", m.ravel())
-    assert (d / "m.csv").read_text() == reference_csv(m)
-    assert (d / "v.csv").read_text() == reference_csv(m.reshape(-1, 1))
 
 
 @pytest.mark.parametrize("group", ["O_h", "D_4h", "C_2v"])

@@ -8,19 +8,13 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.optimize import brentq
 
-from modesub.pointgroup import O3IrrepId
+from modesub.pointgroup import TE, TM, O3IrrepId
 from modesub import sphwave
 from modesub.sphwave import (
-    TE,
-    TM,
-    ModeIndex,
     _ratio,
     eigenvalue,
-    index_to_mode,
-    mode_index,
     poles,
     sample_trace,
-    spherical_bessel,
 )
 
 # first positive zero of j_1, from bisection on the closed form
@@ -28,37 +22,12 @@ from modesub.sphwave import (
 J1_FIRST_ZERO = 4.493409457909064
 
 
-def test_bessel_against_scipy():
-    worst = 0.0
-    for t in range(16):
-        for x in np.linspace(0.05 * np.pi, 2.5 * np.pi, 40):
-            jt = spherical_bessel("j", t, x)
-            yt = spherical_bessel("y", t, x)
-            ref_j = special.spherical_jn(t, x)
-            ref_y = special.spherical_yn(t, x)
-            scale = max(abs(ref_j), 1e-30)
-            worst = max(worst, abs(jt - ref_j) / scale)
-            scale = max(abs(ref_y), 1e-30)
-            worst = max(worst, abs(yt - ref_y) / scale)
-    assert worst < 1e-10
-
-
-def test_bessel_small_argument_downward_branch():
-    # x far below t forces the downward recurrence
-    for t in (8, 15, 25):
-        x = 0.3
-        ref = special.spherical_jn(t, x)
-        assert spherical_bessel("j", t, x) == pytest.approx(ref, rel=1e-10)
-
-
 def test_wronskian_identity():
+    # the sphere layer's eigenvalues are ratios of scipy's j_t and y_t
     for t in range(1, 12):
         for x in np.linspace(0.2, 8.0, 25):
-            jt = spherical_bessel("j", t, x)
-            yt = spherical_bessel("y", t, x)
-            jm = spherical_bessel("j", t - 1, x)
-            ym = spherical_bessel("y", t - 1, x)
-            lhs = jt * ym - jm * yt
+            lhs = (special.spherical_jn(t, x) * special.spherical_yn(t - 1, x)
+                   - special.spherical_jn(t - 1, x) * special.spherical_yn(t, x))
             assert lhs * x * x == pytest.approx(1.0, rel=1e-9)
 
 
@@ -130,8 +99,6 @@ def test_kr_below_the_smallest_normal_float_is_rejected():
                     math.nan, math.inf):
             with pytest.raises(ValueError, match="kR must be positive"):
                 eigenvalue(O3IrrepId(1, TE), bad)
-            with pytest.raises(ValueError, match="kR must be positive"):
-                spherical_bessel("j", 1, bad)
         for grid in ([1e-310, 0.5, 1.0], [0.5, math.nan, 1.0],
                      [0.5, 1.0, math.inf]):
             with pytest.raises(ValueError, match="kR must be positive"):
@@ -193,30 +160,6 @@ def test_tiny_kr_window_has_no_pole_scan():
     lam, near = sample_trace(O3IrrepId(1, TE), np.array([1e-13, 2e-13]))
     assert lam.tolist() == [math.inf, math.inf]
     assert near.tolist() == [True, True]
-
-
-def test_mode_index_round_trip():
-    seen = set()
-    for t in range(1, 7):
-        for s in (TE, TM):
-            for m in range(-t, t + 1):
-                n = mode_index(t, m, s).n
-                assert n not in seen
-                seen.add(n)
-                back = index_to_mode(n)
-                assert (back.t, back.m, back.s) == (t, m, s)
-    # indices tile 1..N without gaps
-    assert seen == set(range(1, 1 + len(seen)))
-
-
-def test_mode_index_validation():
-    with pytest.raises(ValueError):
-        mode_index(0, 0, TE)
-    with pytest.raises(ValueError):
-        mode_index(2, 3, TE)
-    with pytest.raises(ValueError):
-        mode_index(1, 0, 7)
-    assert mode_index(1, -1, TE) == ModeIndex(1, -1, TE, 1)
 
 
 def test_sample_trace_flags_pole_neighbors():

@@ -1,8 +1,6 @@
 import numpy as np
 
 from modesub.svgplot import Curve, Marker, render
-from modesub.tracker import TrackedTrace, TracePoint, AvoidanceSignature
-from modesub import svgplot
 
 
 def test_render_basic_structure():
@@ -43,16 +41,3 @@ def test_markers_rendered():
     assert "X marks" in svg and "near miss" in svg
     assert "stroke-dasharray" in svg
 
-
-def test_traces_svg_smoke():
-    freqs = np.linspace(0.0, 1.0, 30)
-    traces = [
-        TrackedTrace(0, "A_1",
-                     [TracePoint(f, f + 0.3, 0) for f in freqs], []),
-        TrackedTrace(1, "A_1",
-                     [TracePoint(f, -f - 0.3, 1) for f in freqs], []),
-    ]
-    sig = AvoidanceSignature(1, 0, "A_1", 0.5, 0.6, "MICA")
-    svg = svgplot.traces_svg(traces, [sig])
-    assert svg.startswith("<svg")
-    assert "MICA" in svg

@@ -15,13 +15,12 @@ from modesub.symaction import (
     _permutation,
     action_from_operators,
     action_from_points,
-    orbit_points,
     parity_check,
     project_columns,
     projector,
 )
 
-from group_helpers import dense_operators, write_points_action
+from group_helpers import dense_operators, orbit_points, write_points_action
 
 GROUPS = ("O_h", "O", "D_4h", "C_4v", "C_2v")
 
